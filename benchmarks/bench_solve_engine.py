@@ -14,6 +14,10 @@ must be at least 3x the reference loop at ``n=64, d=16, C=10``
 carries the max engine-vs-reference weight difference per configuration,
 which must sit at solver rounding error.
 
+Both grids carry one point at the paper's image scale (``d=784, C=10``;
+``k=8`` at default scale, ``k=2`` under ``--tiny``), where the engine's
+conditioning screen and normal-equations accuracy matter most.
+
 The grid constants and the gate live in
 :func:`repro.core.engine.run_standard_engine_benchmark`, shared with the
 ``python -m repro bench-engine`` subcommand.

@@ -178,10 +178,6 @@ class ArrayBackend:
         """
         raise NotImplementedError
 
-    def take(self, a, idx):
-        """Gather rows of a batched device array by host int indices."""
-        raise NotImplementedError
-
     def argpartition(self, a, kth):
         """Indices such that the first ``kth + 1`` are the smallest
         ``kth + 1`` values, in unspecified order (numpy semantics; torch
@@ -269,9 +265,6 @@ class NumpyBackend(ArrayBackend):
         solution, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
         return solution, int(rank), np.asarray(sv, dtype=np.float64)
 
-    def take(self, a, idx):
-        return a[idx]
-
     def argpartition(self, a, kth):
         return np.argpartition(a, kth)
 
@@ -347,9 +340,6 @@ class StubBackend(ArrayBackend):
         )
         return self._wrap(solution), int(rank), np.asarray(sv, dtype=np.float64)
 
-    def take(self, a, idx):
-        return self._wrap(self._unwrap(a)[idx])
-
     def argpartition(self, a, kth):
         return self._wrap(np.argpartition(self._unwrap(a), kth))
 
@@ -390,9 +380,6 @@ class CupyBackend(ArrayBackend):
     def lstsq(self, a, b):
         solution, _, rank, sv = self._cp.linalg.lstsq(a, b, rcond=None)
         return solution, int(rank), self._cp.asnumpy(sv).astype(np.float64)
-
-    def take(self, a, idx):
-        return a[self._cp.asarray(idx)]
 
     def argpartition(self, a, kth):
         return self._cp.argpartition(a, kth)
@@ -457,9 +444,6 @@ class TorchBackend(ArrayBackend):
         )
         sv = result.singular_values.numpy().astype(np.float64)
         return result.solution, int(result.rank), sv
-
-    def take(self, a, idx):
-        return a[self._torch.as_tensor(np.asarray(idx), device=a.device)]
 
     def argpartition(self, a, kth):
         return self._torch.argsort(a)

@@ -11,20 +11,23 @@ batched pass:
    ``(k, n, C-1)``;
 2. form the normal equations ``G = AᵀA`` (``(k, d+1, d+1)``) and
    ``R = AᵀT`` (``(k, d+1, C-1)``) with two batched matmuls;
-3. screen conditioning via one batched ``eigvalsh`` over the Gram stacks —
-   well-conditioned blocks are solved together by one batched
-   ``np.linalg.solve``, while ill-conditioned / rank-deficient blocks fall
-   back to the per-block SVD ``lstsq`` path (bit-identical to the
-   pre-engine reference, including its rank and singular-value
-   diagnostics);
+3. solve every block with one batched LU ``solve`` whose right-hand
+   sides carry a few fixed probe columns next to ``R``; the probe
+   solutions give a cheap estimate of each Gram condition number (no
+   second factorization, no spectrum).  Well-conditioned blocks keep the
+   LU solution, while ill-conditioned / exactly singular blocks fall back
+   to the per-block SVD ``lstsq`` path (bit-identical to the pre-engine
+   reference, including its rank and singular-value diagnostics);
 4. residual norms, centered-target denominators and certificate verdicts
    are computed vectorized over the whole ``(k, C-1)`` grid.
 
 Because the shared design is centered on the interpreted instance and
-scaled to unit spread (see :mod:`repro.utils.linalg`), the Gram matrices
-stay O(1)-conditioned for arbitrarily small hypercube edges, so the
-normal-equations path loses no accuracy where it is taken — and the
-conditioning screen routes everything else to ``lstsq``.
+scaled to unit spread (see :mod:`repro.utils.linalg`), the Gram
+conditioning does not grow as the hypercube edge shrinks; it depends on
+the sample geometry alone (measured ``cond(G)`` up to ~1e8 at
+``d = 784``).  Where the normal-equations path is taken it is accurate
+to ``cond(G)·(d+1)·eps`` norm-wise, and the conditioning screen routes
+everything worse to ``lstsq``.
 
 Every solve path in the library funnels through this engine:
 :func:`repro.core.equations.solve_all_pairs` (and therefore
@@ -42,6 +45,7 @@ implementation verbatim; the property suite pins the engine against it
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -74,12 +78,86 @@ __all__ = [
 ]
 
 #: Conditioning screen for the normal-equations fast path: a block whose
-#: Gram matrix has ``eig_min <= GRAM_CONDITION_RTOL² · eig_max`` (i.e. a
-#: design condition number above ``1 / GRAM_CONDITION_RTOL``) is routed to
-#: the per-block ``lstsq`` fallback.  Centered/scaled Algorithm-1 designs
-#: sit at condition O(1)–O(10²), so the fallback only fires for genuinely
+#: design condition number exceeds ``1 / GRAM_CONDITION_RTOL`` (Gram
+#: condition ``cond(G)`` above ``GRAM_CONDITION_RTOL⁻²`` = 1e12) must take
+#: the per-block ``lstsq`` fallback.  The engine never computes the Gram
+#: spectrum; it estimates ``cond(G)`` from the LU solve it already runs
+#: (:func:`_gram_condition_estimates`), and the estimate can undershoot
+#: the true value.  The screen therefore carries a safety factor of
+#: :data:`_SCREEN_SAFETY` (1e3): a block falls back once its estimate
+#: reaches ``GRAM_CONDITION_RTOL⁻² / _SCREEN_SAFETY`` = 1e9.  A block
+#: with ``cond(G) ≥ 1e12`` passes only if its smallest eigenvector is
+#: nearly orthogonal to all :data:`_N_PROBES` probes, which for
+#: eigenvectors independent of the fixed probes has probability about
+#: ``(4e-6 · (d+1))⁴ / 24`` — below 1e-11 at the paper's image scale
+#: ``d = 784``.  Conversely the estimate never exceeds ``√(d+1) ·
+#: cond(G)``, so every block with ``cond(G) < 1e9 / √(d+1)`` keeps the
+#: fast path.  Centered/scaled Algorithm-1 Gram matrices measure at
+#: ``cond(G)`` up to ~1e8 even at ``d = 784`` (where ``n = d + 2`` makes
+#: the design nearly square), so the fallback only fires for genuinely
 #: degenerate sample sets (duplicated points, rank-deficient blocks).
 GRAM_CONDITION_RTOL: float = 1e-6
+
+#: Factor by which the screen's limit on the *estimated* Gram condition
+#: number sits below the true ``GRAM_CONDITION_RTOL⁻²`` threshold (see
+#: above).
+_SCREEN_SAFETY: float = 1e3
+
+#: Fixed Gaussian probe columns appended to every block's right-hand
+#: sides; their solutions ``G⁻¹V`` estimate ``1 / eig_min``.
+_N_PROBES: int = 8
+_PROBE_SEED: int = 0
+
+
+@functools.lru_cache(maxsize=8)
+def _condition_probes(m: int) -> np.ndarray:
+    """The read-only ``(m, _N_PROBES)`` probe matrix ``V`` for ``m × m``
+    Gram blocks, scaled to ``‖V‖_F = 1``.
+
+    Seeded, so routing is a pure function of the Gram stack: every block
+    of every call sees the same probes.
+    """
+    probes = np.random.default_rng(_PROBE_SEED).standard_normal((m, _N_PROBES))
+    # repro-lint: disable=backend-seam host-side constant; the probes are built once per size on the host
+    probes /= np.linalg.norm(probes)
+    probes.flags.writeable = False
+    return probes
+
+
+def _gram_condition_estimates(
+    be: ArrayBackend, gram, probe_solutions: np.ndarray
+) -> np.ndarray:
+    """Per-block estimate ``‖G‖_F · ‖G⁻¹V‖_F`` of ``cond(G)``, ``‖V‖_F = 1``.
+
+    ``‖G‖_F ≥ eig_max`` and ``‖G⁻¹V‖_F ≤ 1 / eig_min``, so the estimate
+    is at most ``√m · cond(G)``; it undershoots only by how little of
+    the smallest eigenvector the probes see (about ``1 / √m`` for
+    Gaussian probes, usually far less thanks to the Frobenius slack).
+    A block whose probe solutions are not finite (an exactly singular
+    Gram matrix) gets ``nan`` or ``inf``, which fails the screen.
+    """
+    gram_sq = be.to_host(be.einsum("kij,kij->k", gram, gram))
+    # repro-lint: disable=backend-seam host-side screen norms over the (k, m, _N_PROBES) probe solutions already on the host
+    inverse_sq = np.einsum("kij,kij->k", probe_solutions, probe_solutions)
+    return np.sqrt(gram_sq * inverse_sq)
+
+
+def _solve_per_block(be: ArrayBackend, gram, rhs) -> np.ndarray:
+    """Solve block by block after a batched ``solve`` hit a singular block.
+
+    One exactly singular Gram matrix makes the batched call raise for the
+    whole stack; re-solving each block alone keeps the healthy blocks on
+    the fast path and leaves the singular ones ``nan`` (so the screen
+    routes exactly those to ``lstsq``).
+    """
+    k, m, q = rhs.shape
+    solutions = np.full((k, m, q), np.nan)
+    for b in range(k):
+        try:
+            solutions[b] = be.to_host(be.solve(gram[b], rhs[b]))
+        except be.linalg_error:
+            pass
+    return solutions
 
 
 def _stacked_targets(
@@ -144,12 +222,12 @@ def solve_pair_systems_stacked(
     backend:
         The :class:`~repro.core.backend.ArrayBackend` (or its name) that
         runs the batched device section — the Gram/RHS matmuls, the
-        ``eigvalsh`` conditioning screen, the batched ``solve`` and the
-        per-block ``lstsq`` fallback.  ``None`` resolves the process
-        default (:func:`~repro.core.backend.resolve_backend`).  Design
-        construction, residual norms and certificate verdicts always run
-        host-side in numpy, so verdicts are decided by one code path for
-        every backend.
+        batched ``solve`` (whose probe columns feed the conditioning
+        screen) and the per-block ``lstsq`` fallback.  ``None`` resolves
+        the process default (:func:`~repro.core.backend.resolve_backend`).
+        Design construction, residual norms and certificate verdicts
+        always run host-side in numpy, so verdicts are decided by one
+        code path for every backend.
 
     Returns
     -------
@@ -166,14 +244,18 @@ def solve_pair_systems_stacked(
 
     Notes
     -----
-    Complexity: :math:`O(k\\,(n (d+1)^2 + (d+1)^3 + n (d+1) C))` for the
-    stacked Gram build, the batched factorizations (normal-equations
-    ``solve`` plus the ``eigvalsh`` screen) and the multi-RHS
-    back-substitution/residual grid — all issued as a constant number of
-    batched LAPACK/BLAS calls regardless of ``k``, which is where the
-    measured speedup over the per-instance reference loop comes from.
-    Degenerate blocks add one per-block SVD ``lstsq``
-    (:math:`O(n (d+1)^2)` each).
+    Complexity: :math:`O(k\\,(n (d+1)^2 + (d+1)^3 + (n + d) (d+1) C))`
+    for the stacked Gram build, one batched LU factorization (the
+    normal-equations ``solve``) and the multi-RHS back-substitution and
+    residual grid — all issued as a constant number of batched
+    LAPACK/BLAS calls regardless of ``k``, which is where the measured
+    speedup over the per-instance reference loop comes from.  The
+    conditioning screen adds only :data:`_N_PROBES` right-hand sides to
+    that back-substitution and a ``‖G‖_F`` reduction
+    (:math:`O(k (d+1)^2)`); no spectrum is computed.  Degenerate blocks
+    add one per-block SVD ``lstsq`` (:math:`O(n (d+1)^2)` each), and a
+    stack holding an exactly singular Gram matrix is re-solved block by
+    block.
     """
     be = resolve_backend(backend)
     points = as_float64(points)
@@ -213,40 +295,45 @@ def solve_pair_systems_stacked(
     targets, others = _stacked_targets(log_p, target_classes)
 
     # Stacked centered/scaled designs (same math as solve_all_pairs,
-    # vectorized over instances as well as right-hand sides).
-    offsets = points - centers_arr[:, None, :]
-    scale = np.max(np.abs(offsets), axis=(1, 2))
+    # vectorized over instances as well as right-hand sides), built in
+    # place: at image scale each (k, n, d) temporary is ~39 MiB.
+    design = np.empty((k, n, d + 1))
+    design[:, :, 0] = 1.0
+    offsets = design[:, :, 1:]
+    np.subtract(points, centers_arr[:, None, :], out=offsets)
+    scale = np.maximum(offsets.max(axis=(1, 2)), -offsets.min(axis=(1, 2)))
     scale = np.where((scale == 0.0) | ~np.isfinite(scale), 1.0, scale)
-    design = np.concatenate(
-        [np.ones((k, n, 1)), offsets / scale[:, None, None]], axis=2
-    )
+    offsets /= scale[:, None, None]
 
-    # Device section: the contiguous stacks cross the backend seam once;
-    # the conditioning screen and routing masks stay host-side.
+    # Device section: the contiguous stacks cross the backend seam once
+    # (the small right-hand-side stack returns to pick up the probe
+    # columns); the conditioning screen and routing masks stay host-side.
     design_dev = be.asarray(design)
     targets_dev = be.asarray(targets)
     design_t = be.bT(design_dev)
     gram = be.matmul(design_t, design_dev)      # (k, d+1, d+1)
     rhs = be.matmul(design_t, targets_dev)      # (k, d+1, C-1)
 
-    # Conditioning screen: Gram eigenvalues are the squared design
-    # singular values, one batched sweep for the whole stack.
-    eigs = be.to_host(be.eigvalsh(gram))
-    fast = eigs[:, 0] > (GRAM_CONDITION_RTOL**2) * eigs[:, -1]
+    # One batched LU solve serves both the fast path and the conditioning
+    # screen: the fixed probe columns ride along as extra right-hand
+    # sides, and their solutions estimate each block's cond(G).
+    m = d + 1
+    probes = _condition_probes(m)
+    rhs_probed = be.asarray(np.concatenate(
+        [be.to_host(rhs), np.broadcast_to(probes, (k, m, _N_PROBES))], axis=2
+    ))
+    try:
+        solutions = be.to_host(be.solve(gram, rhs_probed))
+    except be.linalg_error:
+        solutions = _solve_per_block(be, gram, rhs_probed)
+    estimates = _gram_condition_estimates(be, gram, solutions[:, :, C - 1:])
+    # Written as "estimate below the limit" so nan (singular) blocks fail.
+    fast = estimates < 1.0 / (GRAM_CONDITION_RTOL**2 * _SCREEN_SAFETY)
 
-    betas = np.empty((k, d + 1, C - 1))
+    betas = np.ascontiguousarray(solutions[:, :, : C - 1])
     ranks = np.full(k, d + 1, dtype=np.intp)
-    singular_values = np.sqrt(np.clip(eigs[:, ::-1], 0.0, None))
-    if fast.all():
-        try:
-            betas = be.to_host(be.solve(gram, rhs))
-        except be.linalg_error:  # pragma: no cover — screened above
-            fast = np.zeros(k, dtype=bool)
-    elif fast.any():
-        idx = np.nonzero(fast)[0]
-        betas[fast] = be.to_host(
-            be.solve(be.take(gram, idx), be.take(rhs, idx))
-        )
+    singular_values = [np.empty(0)] * k
+    condition_estimates: list[float | None] = np.sqrt(estimates).tolist()
     for b in np.nonzero(~fast)[0]:
         # Degenerate block: the SVD path reproduces the pre-engine
         # reference exactly, rank and singular values included.
@@ -254,6 +341,7 @@ def solve_pair_systems_stacked(
         betas[b] = be.to_host(beta_b)
         ranks[b] = rank_b
         singular_values[b] = sv_b
+        condition_estimates[b] = None
 
     # repro-lint: disable=backend-seam host-side residual path; must reduce in the reference summation order bitwise (see below)
     residuals = design @ betas - targets
@@ -303,6 +391,7 @@ def solve_pair_systems_stacked(
     for b in range(k):
         c = classes_list[b]
         sv_b = singular_values[b]
+        cond_b = condition_estimates[b]
         rank_b = ranks_list[b]
         w_b = weights_rows[b]
         intercepts_b = intercepts_list[b]
@@ -322,6 +411,7 @@ def solve_pair_systems_stacked(
                 n_equations=n,
                 n_unknowns=n_unknowns,
                 singular_values=sv_b,
+                condition_estimate=cond_b,
             )
             solutions[(c, c_prime)] = solution_cls(
                 c=c,
@@ -523,8 +613,9 @@ def run_engine_benchmark(
     ----------
     configs:
         ``(n_instances, d, C)`` grid points; defaults to a sweep around
-        the acceptance point ``(64, 16, 10)``.  ``n_points`` is the
-        Algorithm-1 shape ``d + 2`` throughout.
+        the acceptance point ``(64, 16, 10)`` plus the paper's image
+        scale ``(8, 784, 10)``.  ``n_points`` is the Algorithm-1 shape
+        ``d + 2`` throughout.
     repeats:
         Timed repetitions per configuration (best-of is reported to shed
         scheduler noise).
@@ -538,7 +629,10 @@ def run_engine_benchmark(
     max weight difference re-checked on the timed problems).
     """
     if configs is None:
-        configs = [(16, 8, 3), (64, 16, 10), (256, 16, 10), (64, 32, 5)]
+        configs = [
+            (16, 8, 3), (64, 16, 10), (256, 16, 10), (64, 32, 5),
+            (8, 784, 10),
+        ]
     rows = []
     for n_instances, d, C in configs:
         n_points = d + 2
@@ -602,8 +696,11 @@ ENGINE_ACCEPTANCE_POINT: tuple[int, int, int] = (64, 16, 10)
 #: Required engine-vs-reference speedup at the acceptance point.
 ENGINE_SPEEDUP_THRESHOLD: float = 3.0
 
-#: CI smoke grid: small shapes, correctness-gated only.
-_TINY_BENCH_CONFIGS: list[tuple[int, int, int]] = [(8, 5, 3), (16, 8, 3)]
+#: CI smoke grid, correctness-gated only: small shapes plus one
+#: image-scale point, so the conditioning screen runs at ``d = 784``.
+_TINY_BENCH_CONFIGS: list[tuple[int, int, int]] = [
+    (8, 5, 3), (16, 8, 3), (2, 784, 10),
+]
 
 
 def run_standard_engine_benchmark(

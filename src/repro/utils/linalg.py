@@ -96,6 +96,15 @@ class AffineLeastSquaresResult:
         Number of equations in the system.
     n_unknowns:
         Number of unknowns, always ``d + 1``.
+    singular_values:
+        Singular values of the scaled design, descending, when the solve
+        computed them (the SVD ``lstsq`` path); empty otherwise.
+    condition_estimate:
+        Estimated condition number of the scaled design when no spectrum
+        was computed: the batched engine's normal-equations fast path
+        reports the square root of its Gram conditioning screen (see
+        :data:`repro.core.engine.GRAM_CONDITION_RTOL`).  ``None`` when
+        ``singular_values`` is exact.
     """
 
     weights: np.ndarray
@@ -106,6 +115,7 @@ class AffineLeastSquaresResult:
     n_equations: int
     n_unknowns: int
     singular_values: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
+    condition_estimate: float | None = None
 
     @property
     def is_overdetermined(self) -> bool:
@@ -114,9 +124,23 @@ class AffineLeastSquaresResult:
 
     @property
     def condition_number(self) -> float:
-        """2-norm condition number of the scaled design matrix."""
+        """2-norm condition number of the scaled design matrix.
+
+        Exact when ``singular_values`` is populated.  Otherwise this is
+        ``condition_estimate`` — an *estimate*: on the engine's fast path
+        it never exceeds the true value by more than a factor
+        ``(d+1)^{1/4}``, and it falls short of it by more than a factor
+        ``2 (d+1)^{1/4}`` only with probability below 2e-4 (over the
+        orientation of the design's smallest singular direction relative
+        to the engine's fixed probes).  ``inf`` when the design is
+        singular or neither diagnostic is available.
+        """
         sv = self.singular_values
-        if sv.size == 0 or sv[-1] == 0.0:
+        if sv.size == 0:
+            if self.condition_estimate is None:
+                return float("inf")
+            return self.condition_estimate
+        if sv[-1] == 0.0:
             return float("inf")
         return float(sv[0] / sv[-1])
 

@@ -4,7 +4,7 @@ Three layers of pinning, from adapter to end-to-end:
 
 * **Adapter contracts** — each :class:`ArrayBackend` method satisfies
   the numpy semantics the hot layers rely on (transfer round-trip,
-  batched solve/eigvalsh, rank-revealing lstsq, gather, argpartition's
+  batched solve/eigvalsh, rank-revealing lstsq, argpartition's
   partial-order guarantee), parameterized over
   :func:`available_backends` so a GPU host automatically extends the
   matrix to cupy/torch.
@@ -128,12 +128,6 @@ class TestAdapterContracts:
         _assert_matches(be, be.to_host(solution), ref)
         np.testing.assert_allclose(sv, ref_sv, rtol=1e-10)
 
-    def test_take_gathers_rows(self, be):
-        a = np.arange(24, dtype=np.float64).reshape(6, 4)
-        idx = np.array([4, 0, 2])
-        got = be.to_host(be.take(be.asarray(a), idx))
-        assert np.array_equal(got, a[idx])
-
     def test_argpartition_contract(self, be):
         rng = np.random.default_rng(6)
         a = rng.permutation(64).astype(np.float64)
@@ -212,7 +206,6 @@ class TestStubSeamDiscipline:
             lambda: stub.solve(host, np.ones(3)),
             lambda: stub.eigvalsh(host),
             lambda: stub.lstsq(host, np.ones(3)),
-            lambda: stub.take(host, np.array([0])),
             lambda: stub.argpartition(np.ones(4), 1),
         ]
         for call in calls:

@@ -25,6 +25,8 @@ from repro.core import (
     solve_all_pairs,
     solve_pair_systems_stacked,
 )
+from repro.core.backend import NumpyBackend
+from repro.core.engine import GRAM_CONDITION_RTOL, _SCREEN_SAFETY
 from repro.exceptions import ValidationError
 
 SWEEP_SEEDS = (0, 1, 2)
@@ -58,6 +60,45 @@ def _random_problem(
     probs = _softmax(logits)
     classes = rng.integers(0, C, size=k)
     return points, probs, classes, x0s
+
+
+def _scaled_designs(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The engine's centered/scaled ``(k, n, d+1)`` design stack."""
+    offsets = points - centers[:, None, :]
+    scale = np.max(np.abs(offsets), axis=(1, 2))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    k, n, _ = points.shape
+    return np.concatenate(
+        [np.ones((k, n, 1)), offsets / scale[:, None, None]], axis=2
+    )
+
+
+class _LstsqSpy:
+    """A numpy backend that records which designs reach ``lstsq``."""
+
+    def __init__(self, monkeypatch):
+        self.backend = NumpyBackend()
+        self.lstsq_designs: list[np.ndarray] = []
+        self.solve_calls = 0
+        lstsq, solve = self.backend.lstsq, self.backend.solve
+
+        def spy_lstsq(a, b):
+            self.lstsq_designs.append(np.array(a))
+            return lstsq(a, b)
+
+        def spy_solve(a, b):
+            self.solve_calls += 1
+            return solve(a, b)
+
+        monkeypatch.setattr(self.backend, "lstsq", spy_lstsq)
+        monkeypatch.setattr(self.backend, "solve", spy_solve)
+
+    def fallback_blocks(self, designs: np.ndarray) -> set[int]:
+        return {
+            b
+            for b in range(designs.shape[0])
+            if any(np.array_equal(a, designs[b]) for a in self.lstsq_designs)
+        }
 
 
 def _assert_equivalent(engine_solutions, reference_solutions):
@@ -200,6 +241,126 @@ class TestEngineEquivalence:
         for sol in stacked[2].values():  # healthy block rode along
             assert sol.result.rank == d + 1
             assert sol.certified
+
+    def test_singular_block_falls_back_alone(self, monkeypatch):
+        """One exactly singular Gram matrix fails the batched LU solve;
+        only that block may pay for the SVD fallback."""
+        rng = np.random.default_rng(13)
+        k, n, d, C = 4, 8, 4, 3
+        points, probs, classes, centers = _random_problem(rng, k, n, d, C)
+        points[1] = centers[1]          # every point duplicated
+        probs[1] = probs[1, 0]
+        spy = _LstsqSpy(monkeypatch)
+        stacked = solve_pair_systems_stacked(
+            points, probs, classes, centers=centers, backend=spy.backend
+        )
+        assert spy.solve_calls == 1 + k  # batched attempt, then per block
+        assert len(spy.lstsq_designs) == 1
+        for b in range(k):
+            reference = reference_solve_all_pairs(
+                points[b], probs[b], int(classes[b]), center=centers[b]
+            )
+            _assert_equivalent(stacked[b], reference)
+            for sol in stacked[b].values():
+                if b == 1:
+                    assert sol.result.rank < d + 1
+                    assert not sol.certified
+                else:
+                    assert sol.result.rank == d + 1
+                    assert sol.certified
+
+    @pytest.mark.parametrize("d", (16, 784))
+    def test_screen_at_least_as_strict_as_eigvalsh(self, d, monkeypatch):
+        """Every block the full-spectrum ``eigvalsh`` screen sent to
+        ``lstsq`` still goes there; blocks well inside the threshold keep
+        the fast path; answers match the reference either way."""
+        rng = np.random.default_rng(17)
+        # Last feature = first feature + eps noise: cond(G) grows as
+        # eps shrinks; eps = 0 duplicates a column exactly and "same"
+        # collapses every point onto the center.
+        spreads = (None, 1e-2, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 0.0, "same")
+        k, n, C = len(spreads), d + 2, 3
+        points, probs, classes, centers = _random_problem(rng, k, n, d, C)
+        for b, eps in enumerate(spreads):
+            if eps == "same":
+                points[b] = centers[b]
+            elif eps is not None:
+                points[b, :, -1] = points[b, :, 0] + eps * rng.uniform(
+                    -0.5, 0.5, size=n
+                )
+        W = rng.normal(size=(d, C))
+        probs = _softmax(points @ W)
+
+        designs = _scaled_designs(points, centers)
+        eigs = np.linalg.eigvalsh(designs.transpose(0, 2, 1) @ designs)
+        old_fallback = {
+            b for b in range(k)
+            if not eigs[b, 0] > GRAM_CONDITION_RTOL**2 * eigs[b, -1]
+        }
+        conds = np.divide(
+            eigs[:, -1], eigs[:, 0], out=np.full(k, np.inf),
+            where=eigs[:, 0] > 0,
+        )
+        finite = conds[np.isfinite(conds)]
+        # The stack really straddles the 1e12 threshold.
+        assert finite.min() < 1e10 and finite.max() > 1e13
+        assert 0 < len(old_fallback) < k
+
+        spy = _LstsqSpy(monkeypatch)
+        stacked = solve_pair_systems_stacked(
+            points, probs, classes, centers=centers, backend=spy.backend
+        )
+        new_fallback = spy.fallback_blocks(designs)
+        assert old_fallback <= new_fallback
+        # The estimate never exceeds sqrt(d+1) * cond(G).
+        surely_fast = {
+            b for b in range(k)
+            if conds[b] * np.sqrt(d + 1)
+            < 1.0 / (GRAM_CONDITION_RTOL**2 * _SCREEN_SAFETY)
+        }
+        assert surely_fast and not surely_fast & new_fallback
+        eps = np.finfo(np.float64).eps
+        for b in range(k):
+            reference = reference_solve_all_pairs(
+                points[b], probs[b], int(classes[b]), center=centers[b]
+            )
+            if b in new_fallback:
+                _assert_equivalent(stacked[b], reference)
+                continue
+            # Fast path: normal equations are accurate to cond(G)·(d+1)·eps
+            # norm-wise, which at d = 784 and cond(G) ~ 1e8 is looser than
+            # the elementwise tolerance the small-d sweeps above pin.
+            for pair, ref in reference.items():
+                got = stacked[b][pair]
+                assert got.certified == ref.certified
+                gap = np.linalg.norm(got.result.weights - ref.result.weights)
+                bound = conds[b] * (d + 1) * eps
+                assert gap <= bound * np.linalg.norm(ref.result.weights)
+
+    def test_condition_number_on_both_paths(self):
+        """Fast-path results report the screen's finite estimate within
+        the documented factor; lstsq results keep the exact value."""
+        rng = np.random.default_rng(19)
+        k, d, C = 3, 16, 4
+        points, probs, classes, centers = _random_problem(rng, k, d + 2, d, C)
+        points[2, :, -1] = points[2, :, 0]  # exactly rank deficient
+        probs = _softmax(points @ rng.normal(size=(d, C)))
+        stacked = solve_pair_systems_stacked(
+            points, probs, classes, centers=centers
+        )
+        designs = _scaled_designs(points, centers)
+        factor = (d + 1) ** 0.25
+        for b in range(2):
+            exact = np.linalg.cond(designs[b])
+            for sol in stacked[b].values():
+                assert sol.result.singular_values.size == 0
+                estimate = sol.result.condition_number
+                assert np.isfinite(estimate)
+                assert exact / (2 * factor) <= estimate <= exact * factor
+        for sol in stacked[2].values():
+            assert sol.result.condition_estimate is None
+            assert sol.result.singular_values.size == d + 1
+            assert sol.result.condition_number > 1e12
 
     def test_batched_rounds_match_sequential_rounds(self):
         rng = np.random.default_rng(11)

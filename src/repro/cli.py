@@ -13,8 +13,8 @@ Commands
 ``serve``
     Run the interpretation service over a demo model: replay a skewed
     request workload (Zipf, drifting-Zipf, multi-tenant or churn)
-    through the region cache + micro-batching loop — optionally sharded
-    (``--shards``/``--workers``), bounded (``--max-entries``,
+    through the region cache + micro-batching loop — optionally
+    bounded (``--max-entries``,
     ``--eviction``), disk-tiered (``--l2-dir``/``--l2-max-bytes``/
     ``--compact-ratio``), scan-indexed
     (``--region-index``/``--index-bits``) and snapshot-persistent
@@ -22,9 +22,6 @@ Commands
 ``bench-serve``
     The cache-on/off serving throughput comparison
     (``benchmarks/bench_serving_throughput.py`` as a subcommand).
-``bench-shard``
-    The bounded-memory sharded serving tier gates
-    (``benchmarks/bench_sharded_serving.py`` as a subcommand).
 ``bench-store``
     The tiered (RAM L1 + disk L2) region store gates
     (``benchmarks/bench_tiered_store.py`` as a subcommand).
@@ -43,17 +40,16 @@ Examples
     python -m repro run all --scale bench --output report.txt
     python -m repro interpret --dataset credit-scoring --seed 3
     python -m repro serve --dataset credit-scoring --requests 200
-    python -m repro serve --shards 4 --workers 2 --snapshot regions.npz
+    python -m repro serve --max-entries 64 --snapshot regions.npz
     python -m repro serve --warm-start regions.npz --snapshot regions.npz \
         --workload drifting
-    python -m repro serve --broker --workers 2 --latency-ms 5 \
+    python -m repro serve --broker --latency-ms 5 \
         --failure-rate 0.05 --retries 4
     python -m repro serve --l2-dir regions.l2 --max-entries 64 \
         --l2-max-bytes 1048576
     python -m repro serve --region-index --index-bits 16 --requests 400
     python -m repro bench-serve --tiny --output BENCH_serving.json
     python -m repro bench-store --tiny --output BENCH_tiered_store.json
-    python -m repro bench-shard --tiny --output BENCH_sharded_serving.json
     python -m repro bench-engine --tiny
 """
 
@@ -189,15 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="request-stream shape (default: zipf; see docs/serving.md)",
     )
     serve.add_argument(
-        "--shards", type=int, default=1,
-        help="region-cache shards; > 1 selects the sharded serving tier "
-        "(default: 1, monolithic)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=1,
-        help="concurrent flush workers for the sharded tier (default: 1)",
-    )
-    serve.add_argument(
         "--gateway", action="store_true",
         help="serve over the multi-process gateway: an asyncio HTTP/JSON "
         "front end routing requests across a fleet of worker processes, "
@@ -303,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--broker", action="store_true",
         help="route queries through the coalescing QueryBroker "
-        "(fused round trips across concurrent flush workers)",
+        "(fused round trips, simulated transport faults and retries)",
     )
     serve.add_argument(
         "--broker-window-ms", type=float,
@@ -366,44 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ends in .json, rendered text otherwise)",
     )
 
-    bench_shard = sub.add_parser(
-        "bench-shard",
-        help="bounded-memory sharded serving tier: hit-rate retention "
-        "under eviction + per-shard scan scaling on a drifting-Zipf "
-        "workload",
-    )
-    bench_shard.add_argument("--seed", type=int, default=0)
-    bench_shard.add_argument(
-        "--requests", type=int, default=600,
-        help="workload size per arm (default: 600)",
-    )
-    bench_shard.add_argument(
-        "--anchors", type=int, default=48,
-        help="distinct anchor instances (default: 48)",
-    )
-    bench_shard.add_argument(
-        "--shards", type=int, default=4,
-        help="shard count of the bounded arm (default: 4)",
-    )
-    bench_shard.add_argument(
-        "--workers", type=int, default=2,
-        help="flush workers of the multi-worker arm (default: 2)",
-    )
-    bench_shard.add_argument(
-        "--eviction", default="lru", choices=("lru", "ttl"),
-        help="eviction policy of the bounded arm (default: lru)",
-    )
-    bench_shard.add_argument(
-        "--tiny", action="store_true",
-        help="CI smoke scale: small model, 120 requests, correctness "
-        "gates only",
-    )
-    bench_shard.add_argument(
-        "--output", default=None,
-        help="also write the report to this file (JSON when the path "
-        "ends in .json, rendered text otherwise)",
-    )
-
     bench_store = sub.add_parser(
         "bench-store",
         help="tiered region store: disk-backed hit retention at 10%% L1 "
@@ -417,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_store.add_argument(
         "--anchors", type=int, default=48,
         help="distinct anchor instances (default: 48)",
-    )
-    bench_store.add_argument(
-        "--shards", type=int, default=4,
-        help="L1 shard count of the tiered arm (default: 4)",
     )
     bench_store.add_argument(
         "--l2-dir", default=None,
@@ -555,8 +500,6 @@ def _validate_serve_flags(args: argparse.Namespace) -> str | None:
     """
     if args.requests < 1 or args.clusters < 1 or args.batch_size < 1:
         return "--requests, --clusters and --batch-size must be >= 1"
-    if args.shards < 1 or args.workers < 1:
-        return "--shards and --workers must be >= 1"
     if args.max_entries < 1:
         return "--max-entries must be >= 1"
     if args.gateway_workers < 1:
@@ -592,10 +535,6 @@ def _validate_serve_flags(args: argparse.Namespace) -> str | None:
             return ("--broker coalesces queries inside one process; "
                     "with --gateway the queries run in worker processes "
                     "(drop --broker)")
-        if args.shards != 1 or args.workers != 1:
-            return ("--shards/--workers select the in-process sharded "
-                    "tier; with --gateway the parallelism is the worker "
-                    "fleet (use --gateway-workers)")
         if args.snapshot or args.warm_start:
             return ("--snapshot/--warm-start act on the in-process "
                     "cache; with --gateway the shared --l2-dir already "
@@ -693,8 +632,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import (
         InterpretationService,
         RegionCache,
-        ShardedInterpretationService,
-        ShardedRegionCache,
         TieredRegionStore,
     )
 
@@ -713,11 +650,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     anchors = test.X[: min(args.clusters, test.n_samples)]
     workload_fn = getattr(serving, _WORKLOADS[args.workload])
     requests = workload_fn(anchors, args.requests, seed=args.seed)
-    sharded = args.shards > 1 or args.workers > 1
-    tier = (
-        f"{args.shards} shards / {args.workers} workers" if sharded
-        else "monolithic"
-    )
+    tier = "single process"
     if args.l2_dir:
         tier += f", tiered (L2: {args.l2_dir})"
     if args.region_index:
@@ -774,39 +707,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             backend=args.backend,
         )
         store = None
+        cache = None
         if args.l2_dir:
             store = TieredRegionStore(
                 args.l2_dir,
-                n_shards=args.shards,
                 l2_max_bytes=args.l2_max_bytes,
                 compact_ratio=args.compact_ratio,
                 **cache_kwargs,
             )
-        if sharded or store is not None:
-            service: InterpretationService = ShardedInterpretationService(
-                api,
-                n_workers=args.workers,
-                cache=(
-                    None if args.no_cache or store is not None
-                    else ShardedRegionCache(n_shards=args.shards, **cache_kwargs)
-                ),
-                store=store,
-                enable_cache=not args.no_cache,
-                max_batch_size=args.batch_size,
-                broker=broker,
-                seed=args.seed,
-                backend=args.backend,
-            )
-        else:
-            service = InterpretationService(
-                api,
-                cache=None if args.no_cache else RegionCache(**cache_kwargs),
-                enable_cache=not args.no_cache,
-                max_batch_size=args.batch_size,
-                broker=broker,
-                seed=args.seed,
-                backend=args.backend,
-            )
+        elif not args.no_cache:
+            cache = RegionCache(**cache_kwargs)
+        service = InterpretationService(
+            api,
+            cache=cache,
+            store=store,
+            enable_cache=not args.no_cache,
+            max_batch_size=args.batch_size,
+            broker=broker,
+            seed=args.seed,
+            backend=args.backend,
+        )
         if args.warm_start:
             loaded = service.cache.load(args.warm_start)
             where = "disk (L2) records" if store is not None else "entries"
@@ -955,32 +875,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench_shard(args: argparse.Namespace) -> int:
-    from repro.serving import run_sharded_benchmark, sharded_gate_failures
-
-    if args.requests < 1 or args.anchors < 1:
-        print("error: --requests and --anchors must be >= 1",
-              file=sys.stderr)
-        return 2
-    if args.shards < 1 or args.workers < 1:
-        print("error: --shards and --workers must be >= 1", file=sys.stderr)
-        return 2
-    report, (min_ratio, max_scan) = run_sharded_benchmark(
-        n_requests=args.requests, n_anchors=args.anchors,
-        n_shards=args.shards, n_workers=args.workers,
-        eviction=args.eviction, seed=args.seed, tiny=args.tiny,
-    )
-    print(report.as_text())
-    if args.output:
-        _write_report(args.output, report)
-    failures = sharded_gate_failures(
-        report, min_hit_rate_ratio=min_ratio, max_scan_ratio=max_scan
-    )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_bench_store(args: argparse.Namespace) -> int:
     from repro.serving import run_tiered_store_benchmark, tiered_gate_failures
 
@@ -988,13 +882,9 @@ def _cmd_bench_store(args: argparse.Namespace) -> int:
         print("error: --requests and --anchors must be >= 1",
               file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     report, min_retention = run_tiered_store_benchmark(
         n_requests=args.requests, n_anchors=args.anchors,
-        n_shards=args.shards, seed=args.seed, tiny=args.tiny,
-        l2_dir=args.l2_dir,
+        seed=args.seed, tiny=args.tiny, l2_dir=args.l2_dir,
     )
     print(report.as_text())
     if args.output:
@@ -1054,7 +944,6 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
         "serve": _cmd_serve,
         "bench-serve": _cmd_bench_serve,
-        "bench-shard": _cmd_bench_shard,
         "bench-store": _cmd_bench_store,
         "bench-engine": _cmd_bench_engine,
     }

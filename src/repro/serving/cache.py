@@ -17,12 +17,19 @@ the region the API's log-odds are affine with the cached ``(D, B)``, so
     \\quad \\forall (c, c')
 
 at the new instance ``x`` (with the probe response ``y(x)`` the service
-needs anyway to know the predicted class) certifies the hit.  A foreign
-region's affine pieces differ, so its log-odds violate the identity — the
-same probability-1 separation argument behind the paper's consistency
-certificate.  False hits would require the new region's *every* pair
-hyperplane to agree at ``x`` to within ``τ``, which for continuous
-instance distributions is a measure-zero event.
+needs anyway to know the predicted class) accepts the hit.  Away from
+region boundaries a foreign region's affine pieces differ, so its
+log-odds violate the identity — the separation argument behind the
+paper's consistency certificate.  Near a boundary the test is *not*
+sound: the models are continuous, so on a facet shared by two regions
+every pair's log-odds of both regions agree, and a slab of positive
+width next to that facet passes the test for the foreign region.  A
+query inside the slab is served the neighbouring region's parameters
+(probes placed 1e-8 past a region boundary of a small ReLU network come
+back as hits whose decision features are far from the ground truth).
+Closing this hole — certifying a hit at a second point — is the
+near-boundary false-hit item in ``ROADMAP.md``; until then a hit is
+exact only for queries outside those slabs.
 
 The membership scan is fully vectorized: at insert time every entry's
 per-pair ``(D, B)`` is packed into contiguous stacked matrices (grouped
@@ -49,8 +56,9 @@ evictions and approximate resident bytes so operators can size
 persist the packed region arrays to a single ``.npz`` so a service can
 warm-start from a prior run's regions — the arrays round-trip bitwise,
 preserving the cache's exactness contract across restarts.  The format is
-shared with :class:`repro.serving.shard.ShardedRegionCache`, which
-re-routes each entry by its region signature at load time.
+shared with :class:`repro.serving.store.TieredRegionStore`, whose
+snapshots warm-start a cache and whose :meth:`load` bootstraps its disk
+tier from a cache's snapshot.
 """
 
 from __future__ import annotations
@@ -289,8 +297,7 @@ class CacheStats:
     index_hits:
         Membership scans decided by the sign-index shortlist (the exact
         matmul ran over shortlisted candidates only).  Always 0 with
-        ``region_index=False``.  Counted per *scan*, so one sharded
-        lookup can contribute up to ``n_shards`` of them.
+        ``region_index=False``.
     index_fallbacks:
         Membership scans whose shortlist produced no passing candidate,
         falling back to the full linear scan (the transparency path —
@@ -343,8 +350,8 @@ def check_lookup_shapes(
 ) -> None:
     """Reject dimension mismatches before they hit the packed matmul.
 
-    Shared by :class:`RegionCache` and the sharded tier (whose empty
-    shards could not otherwise enforce a consistent dimensionality).
+    Shared by :class:`RegionCache` and the L2 segment scan
+    (:meth:`repro.serving.store.SegmentStore.scan`).
 
     Raises
     ------
@@ -584,10 +591,11 @@ class RegionCache:
         if scored is None:
             self._misses += 1
             return None
-        served = self._serve(scored[0], x0)
-        if served is None:  # pragma: no cover — single-threaded lookups
-            self._misses += 1  # cannot race between scan and serve
-        return served
+        entry = self._entries[scored[0]]
+        entry.hits += 1
+        self._hits += 1
+        self._touch(entry)
+        return self._rebase(entry, x0)
 
     def _scan(
         self, x0: np.ndarray, y0: np.ndarray, target_class: int
@@ -596,9 +604,9 @@ class RegionCache:
         the nearest passing candidate, or ``None``.
 
         Mutates only the index meters (shortlist hit/fallback counters)
-        — hit/miss counters, LRU order and TTL leases are the caller's
-        job (:meth:`lookup` here; the sharded tier runs this per shard
-        and serves only the global winner).
+        — hit/miss counters, LRU order and TTL leases are
+        :meth:`lookup`'s job, so ``benchmarks/bench_region_index.py``
+        can time the scan alone.
 
         With ``region_index`` on, the sign-bucket shortlist is
         membership-checked first; any passing shortlisted candidate
@@ -692,18 +700,6 @@ class RegionCache:
         if best is None:
             return None
         return best[1], best[0]
-
-    def _serve(self, key: int, x0: np.ndarray) -> Interpretation | None:
-        """Count and serve a scan winner (``None`` if it was evicted
-        between scan and serve — only possible in the sharded tier, where
-        the shard lock is released between the two steps)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        entry.hits += 1
-        self._hits += 1
-        self._touch(entry)
-        return self._rebase(entry, x0)
 
     def insert(self, interpretation: Interpretation) -> bool:
         """Cache a certified interpretation; returns False for duplicates.
@@ -946,7 +942,7 @@ class RegionCache:
 
 
 # --------------------------------------------------------------------- #
-# Snapshot format (shared with the sharded tier)
+# Snapshot format (shared with the tiered store)
 # --------------------------------------------------------------------- #
 def pack_snapshot(
     entries: list[RegionCacheEntry],

@@ -26,14 +26,15 @@ accepts.  The scan callers fall back to the full linear scan whenever
 the shortlist yields no passing candidate, so a shortlist miss costs one
 extra (cheap) probe — never recall: hit/miss counts are identical with
 the index on or off.  (When two or more distinct cached regions pass the
-exact test for the same query — a measure-zero event for continuous
-instance distributions, and same-region duplicates are already deduped
-at insert — the shortlisted winner may be a different *passing* entry
-than the global scan's; this is the same caveat the cache's false-hit
-argument already carries.)
+exact test for the same query the shortlisted winner may be a different
+*passing* entry than the global scan's.  That is not rare: next to a
+facet shared by two regions, a slab of positive width passes the test
+for both, the near-boundary false-hit hole described in
+:mod:`repro.serving.cache`.  Same-region duplicates are deduped at
+insert.)
 
 **Determinism.**  The bank is derived from the fixed :data:`INDEX_SEED`
-per ``(d, bits)`` shape, so every process, shard, tier and recovery scan
+per ``(d, bits)`` shape, so every process, tier and recovery scan
 assigns the same entry the same bucket code — the L2 tier can persist
 anchors alongside its tail index and rebuild identical buckets on open.
 """
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 #: Seed of the shared hyperplane bank.  Fixed so bucket codes agree
-#: across processes, shards, tiers and restarts (the L2 index persists
+#: across processes, tiers and restarts (the L2 index persists
 #: anchors, not codes, and recomputes codes against this bank on open).
 INDEX_SEED: int = 0x51C7_1DE5
 
@@ -161,9 +162,9 @@ class RegionSignIndex:
     probes the query's bucket and all single-bit neighbours and returns
     the ``k`` nearest-anchor candidates for the exact membership test.
 
-    Not thread-safe on its own — both tiers mutate it under the lock
-    that already guards the structure it accelerates (the L1 shard lock
-    / the tiered store lock).
+    Not thread-safe on its own — it is mutated only by the structure it
+    accelerates, under whatever serializes that structure (the tiered
+    store's lock, or the service's flush lock for a plain cache).
 
     Parameters
     ----------

@@ -25,13 +25,9 @@ Two usage styles:
   a background loop gathers requests for up to ``max_wait_s`` (or until
   ``max_batch_size``) and flushes them together.
 
-The class is written so the sharded tier
-(:class:`repro.serving.shard.ShardedInterpretationService`) can run
-*several* flush workers concurrently: batch processing is parameterized
-on the interpreter, meter accounting happens under a dedicated lock
-using API-meter deltas (globally exact regardless of flush
-interleaving), and :meth:`submit` consults a capacity hook so subclasses
-can apply backpressure.
+One flush runs at a time, on one interpreter.  Meter accounting reads
+deltas of the API's own meters, so the service's lifetime totals match
+the API's exactly.
 """
 
 from __future__ import annotations
@@ -108,8 +104,9 @@ class InterpretationService:
         ``interpreter_kwargs`` when omitted.
     cache:
         A pre-configured :class:`RegionCache` (or any object with the
-        same ``lookup``/``insert``/``stats`` surface, e.g. the sharded
-        cache), or ``None`` for a default one.  Pass
+        same ``lookup``/``insert``/``stats`` surface, e.g. an
+        :class:`~repro.serving.store.L2ReaderCache`), or ``None`` for a
+        default one.  Pass
         ``enable_cache=False`` to disable region reuse entirely (every
         request solves fresh — the baseline the throughput benchmark
         compares against).
@@ -126,12 +123,12 @@ class InterpretationService:
         after the first one arrives.
     broker:
         Optional :class:`~repro.api.QueryBroker` over the same ``api``.
-        When given, every flush queries through a per-worker
-        :class:`~repro.api.BrokerHandle` instead of the raw API, so
-        probe and lock-step trips coalesce across concurrent flush
-        workers (and any other broker callers) into fused round trips;
-        exhausted transport retries come back as structured
-        ``transport_failed`` envelopes.  Meter accounting keeps reading
+        When given, every flush queries through one
+        :class:`~repro.api.BrokerHandle` made at construction instead
+        of the raw API, so probe and lock-step trips coalesce with any
+        other broker callers into fused round trips; exhausted
+        transport retries come back as structured ``transport_failed``
+        envelopes.  Meter accounting keeps reading
         the underlying API, so the lifetime totals stay exact.
     backend:
         The :class:`~repro.core.backend.ArrayBackend` (or its name) for
@@ -239,32 +236,19 @@ class InterpretationService:
         self._cv = threading.Condition()
         self._flush_lock = threading.Lock()
         # Meter accounting is delta-based against these high-water marks,
-        # under its own lock: totals stay exact even when several workers
-        # flush concurrently (the sharded tier), because every spent query
-        # is counted by exactly one _account call.
+        # under its own lock so stats() can read from any thread: every
+        # spent query is counted by exactly one _account call.
         self._metrics_lock = threading.Lock()
         self._metered_queries = api.query_count  # guarded-by: _metrics_lock
         self._metered_trips = api.request_count  # guarded-by: _metrics_lock
         self._next_id = 0              # guarded-by: _cv
-        self._workers: list[threading.Thread] = []
+        self._worker: threading.Thread | None = None
         self._stopping = False         # guarded-by: _cv
-        # Per-worker query clients: broker handles when brokered (exact
-        # per-worker attribution, cross-worker trip fusion), else the
-        # raw API.  Created lazily under the lock — handle identity must
-        # be stable per worker index.
-        self._clients: dict[int, QueryClient] = {}  # guarded-by: _clients_lock
-        self._clients_lock = threading.Lock()
-
-    def _client(self, worker_idx: int) -> QueryClient:
-        """The query client flush worker ``worker_idx`` speaks through."""
-        if self.broker is None:
-            return self.api
-        with self._clients_lock:
-            client = self._clients.get(worker_idx)
-            if client is None:
-                client = self.broker.handle(f"worker-{worker_idx}")
-                self._clients[worker_idx] = client
-            return client
+        # What every flush queries through: a broker handle when
+        # brokered (trips fuse with other broker callers), else the API.
+        self._client: QueryClient = (
+            api if broker is None else broker.handle("service")
+        )
 
     # ------------------------------------------------------------------ #
     # Request intake
@@ -293,7 +277,6 @@ class InterpretationService:
                 f"[0, {self.api.n_classes})"
             )
         with self._cv:
-            self._wait_for_capacity()
             request = InterpretRequest(
                 request_id=self._next_id, x0=x0, target_class=target_class
             )
@@ -302,13 +285,6 @@ class InterpretationService:
             self._queue.append(pending)
             self._cv.notify_all()
         return pending
-
-    def _wait_for_capacity(self) -> None:
-        """Backpressure hook (called under ``_cv``); unbounded here.
-
-        The sharded tier overrides this to block producers while the
-        queue is at its bound and the worker loop is draining it.
-        """
 
     def interpret(
         self,
@@ -323,7 +299,7 @@ class InterpretationService:
         micro-batch; otherwise it is flushed inline.
         """
         pending = self.submit(x0, target_class)
-        if not self._workers:
+        if self._worker is None:
             self.flush()
         return pending.result(timeout)
 
@@ -346,7 +322,7 @@ class InterpretationService:
             self.submit(x0, None if classes is None else int(classes[i]))
             for i, x0 in enumerate(X)
         ]
-        if not self._workers:
+        if self._worker is None:
             while any(not p.done() for p in pendings):
                 if not self.flush():
                     break
@@ -359,39 +335,22 @@ class InterpretationService:
         """Process up to ``max_batch_size`` queued requests as one batch.
 
         Serialized by the flush lock — one micro-batch in flight at a
-        time (the sharded tier's workers bypass this entry point to run
-        several batches concurrently, each with its own interpreter).
+        time, whether the caller or the background loop flushes.
         """
         with self._flush_lock:
-            batch = self._pop_batch()
+            with self._cv:
+                batch = [
+                    self._queue.popleft()
+                    for _ in range(min(len(self._queue), self.max_batch_size))
+                ]
             if not batch:
                 return []
-            return self._process(batch, self.interpreter, self._client(0))
-
-    def _pop_batch(self) -> list[PendingResponse]:
-        """Dequeue up to ``max_batch_size`` requests and wake any
-        backpressured producers."""
-        with self._cv:
-            batch = [
-                self._queue.popleft()
-                for _ in range(min(len(self._queue), self.max_batch_size))
-            ]
-            if batch:
-                self._cv.notify_all()
-        return batch
+            return self._process(batch)
 
     def _process(
-        self,
-        batch: list[PendingResponse],
-        interpreter: BatchOpenAPIInterpreter,
-        client: QueryClient,
+        self, batch: list[PendingResponse]
     ) -> list[InterpretResponse]:
         """Serve one micro-batch; never lets an exception escape.
-
-        ``client`` is the worker's query surface from :meth:`_client`
-        (its per-worker broker handle, or the API itself when no broker
-        is configured) — the broker-vs-api choice lives there, nowhere
-        else.
 
         A worker thread runs this, so any exception leaking out would
         kill the loop and wedge every pending request.  Unexpected
@@ -403,7 +362,7 @@ class InterpretationService:
         meters still record whatever the aborted flush spent.
         """
         try:
-            return self._process_batch(batch, interpreter, client)
+            return self._process_batch(batch)
         except Exception as exc:  # boundary: service envelope boundary — failures become structured error envelopes and the meters still account the aborted flush
             if isinstance(exc, ValidationError):
                 code, retryable = ERROR_INVALID_REQUEST, False
@@ -433,15 +392,9 @@ class InterpretationService:
             return responses
 
     def _process_batch(
-        self,
-        batch: list[PendingResponse],
-        interpreter: BatchOpenAPIInterpreter,
-        client: QueryClient,
+        self, batch: list[PendingResponse]
     ) -> list[InterpretResponse]:
         """One probe trip + cache scan + lock-step solve of the misses.
-
-        ``client`` is the worker's query client — the raw API, or a
-        broker handle whose trips fuse with concurrent workers'.
 
         Complexity per flush of ``B`` requests with ``M`` misses over a
         ``d``-dimensional, ``C``-class model: one probe round trip
@@ -451,7 +404,7 @@ class InterpretationService:
         the misses — :math:`O(T (M (d+2)^3 + M C (d+2)^2))` via
         :func:`repro.core.engine.solve_pair_systems_stacked`.
         """
-        api = client
+        api = self._client
         X = np.vstack([p.request.x0 for p in batch])
 
         # Probe round: one trip scores every queued instance; the rows
@@ -520,7 +473,7 @@ class InterpretationService:
         else:
             solve_slots = misses
         if solve_slots:
-            result = interpreter.interpret_batch(
+            result = self.interpreter.interpret_batch(
                 api,
                 X[solve_slots],
                 [targets[i] for i in solve_slots],
@@ -608,9 +561,7 @@ class InterpretationService:
         Query/trip spend is measured as the API-meter delta since the
         last ``_account`` call (the high-water marks live under
         ``_metrics_lock``), so lifetime totals match the API meters
-        exactly even when multiple workers flush concurrently —
-        per-flush attribution is approximate under concurrency, the
-        totals are not.
+        exactly.
         """
         with self._metrics_lock:
             q_now = self.api.query_count
@@ -651,39 +602,32 @@ class InterpretationService:
     # ------------------------------------------------------------------ #
     # Background micro-batching loop
     # ------------------------------------------------------------------ #
-    def _n_workers(self) -> int:
-        """How many flush workers :meth:`start` spawns (1 here)."""
-        return 1
-
     def start(self) -> None:
-        """Start the background worker loop(s) (idempotent)."""
-        if self._workers:
+        """Start the background worker loop (idempotent)."""
+        if self._worker is not None:
             return
         with self._cv:
             self._stopping = False
-        for idx in range(self._n_workers()):
-            worker = threading.Thread(
-                target=self._loop,
-                args=(idx,),
-                name=f"interpretation-service-{idx}",
-                daemon=True,
-            )
-            worker.start()
-            self._workers.append(worker)
+        self._worker = threading.Thread(
+            target=self._loop, name="interpretation-service", daemon=True
+        )
+        self._worker.start()
 
-    def stop(self, *, drain: bool = True) -> None:
-        """Stop the loop(s); by default flush whatever is still queued."""
-        if not self._workers:
+    def stop(self) -> None:
+        """Stop the loop, then flush whatever is still queued.
+
+        Every request still queued when the loop exits is resolved
+        here, so no :meth:`PendingResponse.result` waits forever.
+        """
+        if self._worker is None:
             return
         with self._cv:
             self._stopping = True
             self._cv.notify_all()
-        for worker in self._workers:
-            worker.join()
-        self._workers = []
-        if drain:
-            while self.flush():
-                pass
+        self._worker.join()
+        self._worker = None
+        while self.flush():
+            pass
 
     def __enter__(self) -> "InterpretationService":
         self.start()
@@ -692,7 +636,7 @@ class InterpretationService:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _loop(self, worker_idx: int) -> None:
+    def _loop(self) -> None:
         while True:
             with self._cv:
                 while not self._queue and not self._stopping:
@@ -708,18 +652,12 @@ class InterpretationService:
                         break
                     self._cv.wait(timeout=remaining)
             try:
-                while self._flush_worker(worker_idx):
+                while self.flush():
                     pass
             except Exception:  # boundary: defense in depth — the flush worker must outlive any surprise (_process already envelopes) or pending requests hang forever
                 # Defense in depth: the worker must outlive any surprise,
                 # or every pending request would hang forever.
                 continue
-
-    def _flush_worker(self, worker_idx: int) -> list[InterpretResponse]:
-        """One worker-loop flush; the base service has a single worker,
-        so this is plain :meth:`flush` (the sharded tier overrides it to
-        flush without the global lock, on a per-worker interpreter)."""
-        return self.flush()
 
     # ------------------------------------------------------------------ #
     # Observability

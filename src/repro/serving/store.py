@@ -11,13 +11,13 @@ query, capping the servable inventory at what fits in RAM.
 This module lifts that cap with a second tier:
 
 * **L1** is the existing in-memory
-  :class:`~repro.serving.shard.ShardedRegionCache` — packed stacks,
-  one-matmul membership scans, per-shard locks.
+  :class:`~repro.serving.cache.RegionCache` — packed stacks,
+  one-matmul membership scans.
 * **L2** (:class:`SegmentStore`) is an append-only, memory-mapped
   on-disk segment store: each record is a self-describing packed
   ``(D, B)`` region (CRC-framed, so a torn tail from a crash mid-append
   is detected and ignored), and a *tail index* keyed by
-  :func:`~repro.serving.shard.region_signature` maps every live region
+  :func:`region_signature` maps every live region
   to its segment offset.  Crash safety is append-then-fsync for record
   data plus atomic (write-temp-then-``os.replace``) rename for the
   index; a crash between the two is recovered by scanning each segment
@@ -25,7 +25,7 @@ This module lifts that cap with a second tier:
 
 :class:`TieredRegionStore` composes the tiers: eviction from L1
 **demotes** the region to L2 instead of dropping it (via the cache's
-``on_evict`` hook), and an L1 miss scatter-scans the mmap'd L2 records
+``on_evict`` hook), and an L1 miss scans the mmap'd L2 records
 with the *same* one-matmul membership test the RAM tier uses, then
 **promotes** hits back into L1.  Both paths move the identical float64
 bytes, so the tiered store preserves the serving layer's exactness
@@ -79,10 +79,12 @@ from repro.serving.index import (
     RegionSignIndex,
     check_index_bits,
 )
-from repro.serving.shard import ShardedRegionCache, region_signature
 from repro.utils.validation import check_positive
 
 __all__ = [
+    "region_signature",
+    "signature_of",
+    "SIGNATURE_DECIMALS",
     "SegmentStore",
     "L2ReaderCache",
     "TieredRegionStore",
@@ -91,6 +93,12 @@ __all__ = [
     "INDEX_VERSION",
     "DEFAULT_COMPACT_RATIO",
 ]
+
+#: Quantization applied to ``(D, B)`` before hashing: two certified
+#: solves of the same region agree to solver rounding error (~1e-12), so
+#: rounding to 6 decimals collapses them to one signature while distinct
+#: regions (whose hyperplanes differ at O(1)) keep distinct signatures.
+SIGNATURE_DECIMALS: int = 6
 
 #: Framing magic of one L2 record; a scan stops (and the tail is
 #: truncated) at the first frame whose magic or CRC does not check out.
@@ -111,6 +119,70 @@ _HEADER = struct.Struct("<4sIIQ")
 _INDEX_NAME = "index.json"
 _SEGMENT_FMT = "segment-{:05d}.seg"
 _WRITER_LOCK_NAME = "writer.lock"
+
+
+def region_signature(
+    target_class: int,
+    pairs: tuple[tuple[int, int], ...],
+    weights: np.ndarray,
+    intercepts: np.ndarray,
+    *,
+    decimals: int = SIGNATURE_DECIMALS,
+) -> int:
+    """A stable integer signature of a region's certified parameters.
+
+    Theorem 2 makes the certified ``(D, B)`` stack a *canonical name*
+    for its activation region — every certified solve inside the region
+    recovers the same exact parameters — so hashing the (quantized)
+    stack yields a key that is identical for same-region solves and,
+    with probability 1 over continuous weight distributions, distinct
+    across regions.  It keys the L2 tail index, the gateway's harvest
+    dedup and snapshot bootstraps.
+
+    Uses ``zlib.crc32`` over the quantized float bytes, *not* Python's
+    salted ``hash``, so the signature is stable across processes — a
+    record written by one process is found under the same key by the
+    next.
+
+    Parameters
+    ----------
+    target_class:
+        The class the region's parameters were solved for.
+    pairs:
+        The sorted ``(c, c')`` pair set (part of the identity: the same
+        geometry solved for a different class pair set is a different
+        serving entry).
+    weights:
+        ``(P, d)`` stacked pair weights in ``pairs`` order.
+    intercepts:
+        ``(P,)`` matching intercepts.
+    decimals:
+        Quantization before hashing (see :data:`SIGNATURE_DECIMALS`).
+
+    Returns
+    -------
+    A non-negative int (CRC-32 range).
+    """
+    w = np.round(np.asarray(weights, dtype=np.float64), decimals) + 0.0
+    b = np.round(np.asarray(intercepts, dtype=np.float64), decimals) + 0.0
+    header = np.asarray(
+        [target_class, *(idx for pair in pairs for idx in pair)],
+        dtype=np.int64,
+    )
+    return zlib.crc32(header.tobytes() + w.tobytes() + b.tobytes())
+
+
+def signature_of(interpretation: Interpretation) -> int:
+    """:func:`region_signature` of a certified interpretation."""
+    pairs = tuple(sorted(interpretation.pair_estimates))
+    W = np.stack(
+        [interpretation.pair_estimates[p].weights for p in pairs]
+    )
+    b = np.asarray(
+        [interpretation.pair_estimates[p].intercept for p in pairs],
+        dtype=np.float64,
+    )
+    return region_signature(interpretation.target_class, pairs, W, b)
 
 
 @dataclass
@@ -719,8 +791,8 @@ class SegmentStore:
         :meth:`close`, and the recovery scan re-adopts any fsynced
         record past the indexed tail.  A crash at any point therefore
         leaves a loadable store (a torn frame is truncated away), and
-        the append hot path — which runs under an L1 shard lock when
-        demotions drive it — costs one write + one fsync, never an
+        the append hot path — which runs under the tiered store's lock
+        when demotions drive it — costs one write + one fsync, never an
         O(records) index dump.
         """
         self._require_writable("append")
@@ -1124,9 +1196,9 @@ class TieredStoreStats:
     Attributes
     ----------
     l1:
-        The L1 :class:`~repro.serving.shard.ShardedCacheStats` rendered
-        as its ``as_dict()`` (documented under its own glossary; note
-        L1 ``insertions`` include promotions from L2).
+        The L1 :class:`~repro.serving.cache.CacheStats` rendered as its
+        ``as_dict()`` (documented under its own glossary; note L1
+        ``insertions`` include promotions from L2).
     l1_hits:
         Lookups served from RAM.
     l2_hits:
@@ -1138,8 +1210,9 @@ class TieredStoreStats:
         L1 evictions persisted to L2 (evictions of regions already live
         on disk refresh the disk record's recency instead).
     promotions:
-        Disk-served regions re-installed into L1 (equals ``l2_hits``
-        minus promotions deduplicated by a concurrent worker).
+        Disk-served regions re-installed into L1.  Equals ``l2_hits``
+        unless L1's duplicate check folded a promoted region into an
+        entry it already held (the insert then refreshes that entry).
     l2_entries:
         Live records on disk.
     l2_live_bytes / l2_total_bytes:
@@ -1191,27 +1264,28 @@ class TieredStoreStats:
 
 
 class TieredRegionStore:
-    """Two-tier region store: sharded RAM L1 demoting to a mmap'd disk L2.
+    """Two-tier region store: a RAM L1 demoting to a mmap'd disk L2.
 
-    Drop-in for the ``cache``/``store`` surface of the interpretation
-    services (``lookup`` / ``insert`` / ``stats`` / ``save`` / ``load``):
-    an L1 hit behaves exactly like the sharded cache; an L1 miss
-    scatter-scans the disk tier, promotes the hit back into RAM, and
-    serves it bitwise — so turning L2 on can change *cost*, never
-    *content*.  Thread-safe: concurrent flush workers may look up and
-    insert simultaneously (L2 state mutates under one store lock; the
-    lock is never held across calls into L1, so the shard-lock →
-    store-lock ordering is acyclic).
+    Drop-in for the ``cache``/``store`` surface of
+    :class:`~repro.serving.service.InterpretationService` (``lookup`` /
+    ``insert`` / ``stats`` / ``save`` / ``load``): an L1 hit behaves
+    exactly like a :class:`~repro.serving.cache.RegionCache`; an L1 miss
+    scans the disk tier, promotes the hit back into RAM, and serves it
+    bitwise — so turning L2 on can change *cost*, never *content*.
+    Thread-safe: one reentrant lock guards both tiers, so lookups,
+    inserts, snapshots and stats may come from any thread.  An L1
+    eviction demotes through the cache's ``on_evict`` hook while the
+    lock is held, and the demotion re-enters it.
 
     Parameters
     ----------
     directory:
         The L2 segment directory (created if missing; reopening a
         directory resumes its persisted inventory).
-    n_shards, max_entries, tol, max_candidates, floor, eviction, ttl_s,
-    clock:
-        L1 configuration, as :class:`ShardedRegionCache` (``max_entries``
-        is the *RAM* bound; the disk tier holds the overflow).
+    max_entries, tol, max_candidates, floor, eviction, ttl_s, clock:
+        L1 configuration, as :class:`~repro.serving.cache.RegionCache`
+        (``max_entries`` is the *RAM* bound; the disk tier holds the
+        overflow).
     l2_max_bytes:
         Live-byte budget of the disk tier (``None`` = unbounded).
     compact_ratio:
@@ -1220,11 +1294,11 @@ class TieredRegionStore:
         Fsync appended records before indexing them (durability; tests
         may disable for speed).
     region_index:
-        Enable the hyperplane-sign pruning index in *both* tiers: each
-        L1 shard and the L2 segment store shortlist candidates before
-        their exact membership matmuls, falling back to the full scan
-        on a shortlist miss — identical hit/miss behavior, sub-linear
-        lookup cost (the ``serve --region-index`` flag).
+        Enable the hyperplane-sign pruning index in *both* tiers: L1
+        and the L2 segment store shortlist candidates before their
+        exact membership matmuls, falling back to the full scan on a
+        shortlist miss — identical hit/miss behavior, sub-linear lookup
+        cost (the ``serve --region-index`` flag).
     index_bits, index_shortlist:
         Sign-code width / shortlist size, forwarded to both tiers (see
         :class:`~repro.serving.index.RegionSignIndex`).
@@ -1249,7 +1323,7 @@ class TieredRegionStore:
     >>> api = PredictionAPI(SoftmaxRegression(seed=0).fit(ds.X, ds.y))
     >>> interp = OpenAPIInterpreter(seed=0).interpret(api, ds.X[0])
     >>> tmp = tempfile.TemporaryDirectory()
-    >>> store = TieredRegionStore(tmp.name, n_shards=2, max_entries=8)
+    >>> store = TieredRegionStore(tmp.name, max_entries=8)
     >>> store.insert(interp)
     True
     >>> y = api.predict_proba(ds.X[0])
@@ -1268,7 +1342,6 @@ class TieredRegionStore:
         self,
         directory,
         *,
-        n_shards: int = 4,
         max_entries: int = 512,
         tol: float = DEFAULT_MEMBERSHIP_TOL,
         max_candidates: int | None = None,
@@ -1289,8 +1362,9 @@ class TieredRegionStore:
         self.region_index = bool(region_index)
         self.index_bits = check_index_bits(index_bits)
         self.backend = resolve_backend(backend)
-        # SegmentStore itself is not thread-safe; every touch of the
-        # L2 tier serializes on this (reentrant) lock.
+        # Neither tier is thread-safe on its own; every touch of either
+        # serializes on this lock.  Reentrant, because an L1 insert that
+        # evicts calls _demote, which takes it again.
         self._lock = threading.RLock()
         self._l2 = SegmentStore(  # guarded-by: _lock
             directory,
@@ -1302,8 +1376,7 @@ class TieredRegionStore:
             index_shortlist=index_shortlist,
             backend=self.backend,
         )
-        self._l1 = ShardedRegionCache(
-            n_shards=n_shards,
+        self._l1 = RegionCache(  # guarded-by: _lock
             max_entries=max_entries,
             tol=tol,
             max_candidates=max_candidates,
@@ -1324,8 +1397,9 @@ class TieredRegionStore:
 
     # ------------------------------------------------------------------ #
     @property
-    def l1(self) -> ShardedRegionCache:
+    def l1(self) -> RegionCache:
         """The RAM tier (read-only view, for observability)."""
+        # repro-lint: disable=lock-discipline handle read for tests/observability; the reference never changes after __init__
         return self._l1
 
     @property
@@ -1338,26 +1412,20 @@ class TieredRegionStore:
         """Distinct live regions across both tiers (a promoted region
         resident in both counts once)."""
         with self._lock:
-            l2_sigs = self._l2.live_signatures()
-        return len(self._l1) + len(l2_sigs - self._l1_signatures())
+            l1_sigs = {
+                _signature_of_entry(entry, pairs)
+                for entry, pairs in self._l1_entries()
+            }
+            return len(self._l1) + len(self._l2.live_signatures() - l1_sigs)
 
-    def _l1_entries(self) -> list[tuple[RegionCacheEntry, tuple]]:
-        """Snapshot every L1-resident (entry, pairs) under the shard
-        locks — concurrent flush workers keep mutating the shards."""
-        pending: list[tuple[RegionCacheEntry, tuple]] = []
-        for si, shard in enumerate(self._l1.shards):
-            with self._l1._locks[si]:
-                pending.extend(
-                    (entry, shard._group_of[entry.key][1])
-                    for entry in shard._entries.values()
-                )
-        return pending
-
-    def _l1_signatures(self) -> set[int]:
-        return {
-            _signature_of_entry(entry, pairs)
-            for entry, pairs in self._l1_entries()
-        }
+    def _l1_entries(  # requires-lock: _lock
+        self,
+    ) -> list[tuple[RegionCacheEntry, tuple[tuple[int, int], ...]]]:
+        """Every L1-resident ``(entry, pairs)``, in recency order."""
+        return [
+            (entry, self._l1._pairs_of(entry))
+            for entry in self._l1._entries.values()
+        ]
 
     # ------------------------------------------------------------------ #
     # The serving surface
@@ -1377,12 +1445,12 @@ class TieredRegionStore:
         ValidationError
             On shape/dimensionality mismatches (checked by the L1 scan).
         """
-        hit = self._l1.lookup(x0, y0, target_class)
-        if hit is not None:
-            return hit
-        x0 = as_float64(x0)
-        y0 = as_float64(y0)
         with self._lock:
+            hit = self._l1.lookup(x0, y0, target_class)
+            if hit is not None:
+                return hit
+            x0 = as_float64(x0)
+            y0 = as_float64(y0)
             scored = self._l2.scan(
                 x0, y0, target_class, tol=self.tol, floor=self.floor
             )
@@ -1393,11 +1461,8 @@ class TieredRegionStore:
             record = self._l2.read(signature)
             self._l2.touch(signature)
             self._l2_hits += 1
-        # Promote outside the store lock: the L1 insert may evict, and
-        # the eviction's demote callback re-enters the store lock.
-        promoted = _interpretation_from_record(record, self.served_method)
-        if self._l1.insert(promoted):
-            with self._lock:
+            promoted = _interpretation_from_record(record, self.served_method)
+            if self._l1.insert(promoted):
                 self._promotions += 1
         # Served re-anchored at the query instance, arrays shared with the
         # promoted copy — the same rebasing semantics as an L1 hit.
@@ -1415,7 +1480,8 @@ class TieredRegionStore:
             If the interpretation is uncertified or dimensionally
             inconsistent (enforced by L1).
         """
-        return self._l1.insert(interpretation)
+        with self._lock:
+            return self._l1.insert(interpretation)
 
     def _demote(
         self, entry: RegionCacheEntry, pairs: tuple[tuple[int, int], ...]
@@ -1440,8 +1506,8 @@ class TieredRegionStore:
         """Drop both tiers (RAM entries and disk segments; counters
         preserved).  L1 entries are *not* demoted — clearing is a reset,
         not an eviction."""
-        self._l1.clear()
         with self._lock:
+            self._l1.clear()
             self._l2.wipe()
 
     def drain(self) -> int:
@@ -1451,9 +1517,8 @@ class TieredRegionStore:
         newly written to disk (already-live ones are skipped)."""
         with self._lock:
             before = self._demotions
-        for entry, pairs in self._l1_entries():
-            self._demote(entry, pairs)
-        with self._lock:
+            for entry, pairs in self._l1_entries():
+                self._demote(entry, pairs)
             return self._demotions - before
 
     def close(self) -> None:
@@ -1461,8 +1526,8 @@ class TieredRegionStore:
 
         After a clean close, reopening the directory resumes the *full*
         live inventory — both tiers' worth."""
-        self.drain()
         with self._lock:
+            self.drain()
             self._l2.close()
 
     def __enter__(self) -> "TieredRegionStore":
@@ -1473,8 +1538,8 @@ class TieredRegionStore:
 
     def stats(self) -> TieredStoreStats:
         """Aggregate meters of both tiers (see :class:`TieredStoreStats`)."""
-        l1_stats = self._l1.stats()
         with self._lock:
+            l1_stats = self._l1.stats()
             return TieredStoreStats(
                 l1=l1_stats.as_dict(),
                 l1_hits=l1_stats.hits,
@@ -1499,21 +1564,22 @@ class TieredRegionStore:
         """Snapshot every live region (both tiers) to one ``.npz``.
 
         The format is :meth:`RegionCache.save`'s, so a tiered snapshot
-        warm-starts any tier — monolithic, sharded, or another tiered
-        store (where :meth:`load` bootstraps it into L2).  Regions
-        resident in both tiers are written once, from their L1 copy
-        (bitwise identical to the disk copy by construction).
+        warm-starts a :class:`~repro.serving.cache.RegionCache` or
+        another tiered store (where :meth:`load` bootstraps it into
+        L2).  Regions resident in both tiers are written once, from
+        their L1 copy (bitwise identical to the disk copy by
+        construction).
 
         Returns the number of entries written.
         """
         entries: list[RegionCacheEntry] = []
         pairs_by_id: dict[int, tuple[tuple[int, int], ...]] = {}
         seen: set[int] = set()
-        for entry, pairs in self._l1_entries():
-            entries.append(entry)
-            pairs_by_id[id(entry)] = pairs
-            seen.add(_signature_of_entry(entry, pairs))
         with self._lock:
+            for entry, pairs in self._l1_entries():
+                entries.append(entry)
+                pairs_by_id[id(entry)] = pairs
+                seen.add(_signature_of_entry(entry, pairs))
             for signature in self._l2.live_signatures() - seen:
                 record = self._l2.read(signature)
                 entry = _entry_from_record(-1, *record)
@@ -1543,13 +1609,13 @@ class TieredRegionStore:
             If the store is non-empty, or on an unsupported snapshot
             (see :meth:`RegionCache.load`).
         """
-        if len(self):
-            raise ValidationError(
-                "load requires an empty store (call clear() first)"
-            )
         records = unpack_snapshot(np.load(path))
         loaded = 0
         with self._lock:
+            if len(self):
+                raise ValidationError(
+                    "load requires an empty store (call clear() first)"
+                )
             # Bulk mode: per-record fsync would cost O(records) syncs;
             # one segment fsync + one index checkpoint at the end gives
             # the same durability for a bootstrap (nothing is
@@ -1632,9 +1698,10 @@ class L2ReaderCache:
 
     Drop-in for the ``cache`` surface of
     :class:`~repro.serving.service.InterpretationService`
-    (``lookup`` / ``insert`` / ``stats``).  Thread-safe for the
-    service's flush workers: L2 state mutates under one lock, and the
-    lock is never held across calls into L1.
+    (``lookup`` / ``insert`` / ``stats``).  Lookups and inserts come
+    from the service's one flush worker, whose flush lock serializes
+    them; L2 state also mutates under this tier's own lock, so
+    :meth:`stats` may be read from another thread.
     """
 
     #: Same ``method`` tag as every other serving tier — by Theorem 2

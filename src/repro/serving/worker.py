@@ -53,8 +53,7 @@ from repro.api import PredictionAPI
 from repro.core.backend import as_float64
 from repro.exceptions import ValidationError
 from repro.serving.service import InterpretationService
-from repro.serving.shard import region_signature
-from repro.serving.store import L2ReaderCache, _pack_payload
+from repro.serving.store import L2ReaderCache, _pack_payload, region_signature
 
 __all__ = [
     "train_worker_model",

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import CoreParameterEstimate, Interpretation
 from repro.exceptions import ValidationError
-from repro.serving import RegionCache, ShardedRegionCache, TieredRegionStore
+from repro.serving import RegionCache, TieredRegionStore
 from repro.serving.index import (
     DEFAULT_INDEX_BITS,
     MAX_INDEX_BITS,
@@ -241,25 +241,6 @@ class TestL1Equivalence:
         assert np.array_equal(b.decision_features, far.decision_features)
         assert indexed.stats().index_fallbacks >= 1
 
-    def test_sharded_stats_aggregate_index_meters(self):
-        rng = np.random.default_rng(13)
-        sharded = ShardedRegionCache(n_shards=3, region_index=True)
-        entries = []
-        for _ in range(24):
-            x0 = rng.normal(size=5)
-            W = rng.normal(size=(2, 5))
-            b = rng.normal(size=2)
-            sharded.insert(_affine_interp(x0, W, b))
-            entries.append((x0, W, b))
-        for x0, W, b in entries:
-            assert sharded.lookup(x0, _probs_for_claims(W @ x0 + b), 0) \
-                is not None
-        stats = sharded.stats()
-        assert stats.index_hits == sum(
-            s.stats().index_hits for s in sharded.shards
-        )
-        assert stats.index_hits > 0
-
 
 class TestPayloadLayoutRegression:
     """Regression (PR 6): ``SegmentStore.scan`` used to re-derive the
@@ -458,10 +439,10 @@ class TestTieredEquivalence:
 
     def _paired_stores(self, tmp_path, **kwargs):
         plain = TieredRegionStore(
-            tmp_path / "plain", n_shards=2, fsync=False, **kwargs
+            tmp_path / "plain", fsync=False, **kwargs
         )
         indexed = TieredRegionStore(
-            tmp_path / "indexed", n_shards=2, fsync=False,
+            tmp_path / "indexed", fsync=False,
             region_index=True, **kwargs
         )
         return plain, indexed
@@ -495,7 +476,7 @@ class TestTieredEquivalence:
 
     def test_stats_expose_l2_index_meters(self, tmp_path):
         store = TieredRegionStore(
-            tmp_path / "s", n_shards=2, max_entries=2, fsync=False,
+            tmp_path / "s", max_entries=2, fsync=False,
             region_index=True,
         )
         stats = store.stats()

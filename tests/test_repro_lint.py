@@ -791,7 +791,6 @@ class TestRepositoryLintsClean:
             "src/repro/api/service.py",
             "src/repro/api/transport.py",
             "src/repro/serving/service.py",
-            "src/repro/serving/shard.py",
             "src/repro/serving/gateway.py",
             "src/repro/serving/store.py",
             "src/repro/core/backend.py",

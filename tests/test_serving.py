@@ -1,4 +1,11 @@
-"""Unit tests for the serving layer: cache, service, metrics, envelopes."""
+"""Unit tests for the serving layer: cache, service, metrics, envelopes.
+
+Includes the eviction-transparency property: a bounded cache may
+*forget* regions (costing extra solves) but must never *distort*
+answers — everything served from cache is bitwise a fresh certified
+solve, across LRU and TTL policies and across a snapshot save -> load
+round trip.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ from repro.api import (
 )
 from repro.core import OpenAPIInterpreter, verify_interpretation
 from repro.exceptions import ValidationError
+from repro.models.openbox import ground_truth_decision_features
 from repro.serving import (
     InterpretationService,
     RegionCache,
@@ -134,6 +142,28 @@ def _probs_for_claims(t):
     logits = np.concatenate([[0.0], -np.asarray(t, dtype=np.float64)])
     z = np.exp(logits - logits.max())
     return z / z.sum()
+
+
+def _random_interps(rng, n, d=5, n_pairs=2):
+    out = []
+    for _ in range(n):
+        W = rng.normal(size=(n_pairs, d))
+        b = rng.normal(size=n_pairs)
+        out.append((_affine_interp(rng.normal(size=d), W, b), W, b))
+    return out
+
+
+class FakeClock:
+    """Deterministic monotonic clock for TTL tests."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def advance(self, dt: float) -> None:
+        self.now += dt
+
+    def __call__(self) -> float:
+        return self.now
 
 
 class TestRegionCacheVectorized:
@@ -314,8 +344,6 @@ class TestEvictionPolicies:
             RegionCache(eviction="fifo")
 
     def test_ttl_expires_and_hit_refreshes_lease(self):
-        from tests.test_shard import FakeClock
-
         rng = np.random.default_rng(8)
         clock = FakeClock()
         cache = RegionCache(eviction="ttl", ttl_s=10.0, clock=clock)
@@ -333,8 +361,6 @@ class TestEvictionPolicies:
 
     def test_duplicate_insert_refreshes_ttl_lease(self):
         rng = np.random.default_rng(9)
-        from tests.test_shard import FakeClock
-
         clock = FakeClock()
         cache = RegionCache(eviction="ttl", ttl_s=10.0, clock=clock)
         interp, W, b = self._interp(rng)
@@ -359,6 +385,181 @@ class TestEvictionPolicies:
         assert cache.stats().evictions == 2
         cache.clear()
         assert cache.stats().resident_bytes == 0
+
+
+class TestSnapshots:
+    def _filled(self, rng, n=10, **kwargs):
+        cache = RegionCache(**kwargs)
+        interps = _random_interps(rng, n)
+        for interp, _, _ in interps:
+            cache.insert(interp)
+        return cache, interps
+
+    def test_round_trip_bitwise(self, tmp_path):
+        rng = np.random.default_rng(10)
+        cache, interps = self._filled(rng, max_entries=64)
+        path = tmp_path / "regions.npz"
+        assert cache.save(path) == 10
+        restored = RegionCache(max_entries=64)
+        assert restored.load(path) == 10
+        for interp, W, b in interps:
+            y = _probs_for_claims(W @ interp.x0 + b)
+            hit = restored.lookup(interp.x0, y, 0)
+            assert hit is not None
+            assert (
+                hit.decision_features.tobytes()
+                == interp.decision_features.tobytes()
+            )
+            for pair, est in interp.pair_estimates.items():
+                back = hit.pair_estimates[pair]
+                assert back.weights.tobytes() == est.weights.tobytes()
+                assert back.intercept == est.intercept
+
+    def test_monolithic_round_trip_and_lru_order(self, tmp_path):
+        rng = np.random.default_rng(12)
+        cache, interps = self._filled(rng, max_entries=64)
+        path = tmp_path / "mono.npz"
+        cache.save(path)
+        # Loading into a smaller cache keeps the *most recent* entries.
+        small = RegionCache(max_entries=3)
+        small.load(path)
+        assert len(small) == 3
+        kept = 0
+        for interp, W, b in interps[-3:]:
+            y = _probs_for_claims(W @ interp.x0 + b)
+            kept += small.lookup(interp.x0, y, 0) is not None
+        assert kept == 3
+
+    def test_load_requires_empty_cache(self, tmp_path):
+        rng = np.random.default_rng(13)
+        cache, _ = self._filled(rng)
+        path = tmp_path / "regions.npz"
+        cache.save(path)
+        with pytest.raises(ValidationError, match="empty"):
+            cache.load(path)
+        cache.clear()
+        assert cache.load(path) == 10
+
+    def test_load_rejects_foreign_npz(self, tmp_path):
+        path = tmp_path / "foreign.npz"
+        np.savez(path, junk=np.zeros(3))
+        with pytest.raises(ValidationError, match="version"):
+            RegionCache().load(path)
+
+
+class TestEvictionTransparency:
+    """Bounded caches may forget, but never distort: everything
+    cache-served is bitwise a fresh certified solve, and everything
+    matches the OpenBox ground truth — across LRU, TTL and a snapshot
+    round trip."""
+
+    def _request_stream(self, X, seed, n=30):
+        rng = np.random.default_rng(seed)
+        pool = X[:6]
+        return pool[rng.integers(0, len(pool), size=n)]
+
+    def _replay_and_audit(self, model, service, requests):
+        responses = service.interpret_many(requests)
+        fresh = {
+            r.interpretation.decision_features.tobytes()
+            for r in responses
+            if r.ok and not r.served_from_cache
+        }
+        n_hits = 0
+        for x0, response in zip(requests, responses):
+            assert response.ok
+            interp = response.interpretation
+            gt = ground_truth_decision_features(
+                model, x0, interp.target_class
+            )
+            np.testing.assert_allclose(
+                interp.decision_features, gt, atol=1e-7
+            )
+            if response.served_from_cache:
+                assert interp.decision_features.tobytes() in fresh
+                n_hits += 1
+        return responses, fresh, n_hits
+
+    @pytest.mark.parametrize(
+        "cache_factory",
+        [
+            lambda: RegionCache(max_entries=2),
+            lambda: RegionCache(eviction="ttl", ttl_s=1e9, max_entries=2),
+        ],
+        ids=["lru", "ttl"],
+    )
+    def test_bounded_cache_is_transparent(
+        self, relu_model, blobs3, cache_factory
+    ):
+        api = PredictionAPI(relu_model)
+        cache = cache_factory()
+        service = InterpretationService(api, cache=cache, seed=0,
+                                        max_batch_size=4)
+        requests = self._request_stream(blobs3.X, seed=0)
+        _, _, n_hits = self._replay_and_audit(relu_model, service, requests)
+        # The tiny capacity must actually evict (the property is about
+        # serving *through* eviction, not around it) yet still serve hits.
+        assert cache.stats().evictions > 0
+        assert n_hits > 0
+
+    def test_ttl_expiry_mid_stream_stays_transparent(
+        self, relu_model, blobs3
+    ):
+        clock = FakeClock()
+        api = PredictionAPI(relu_model)
+        cache = RegionCache(
+            max_entries=64, eviction="ttl", ttl_s=5.0, clock=clock
+        )
+        service = InterpretationService(api, cache=cache, seed=0,
+                                        max_batch_size=4)
+        requests = self._request_stream(blobs3.X, seed=1, n=12)
+        for chunk in np.array_split(requests, 4):
+            self._replay_and_audit(relu_model, service, chunk)
+            clock.advance(6.0)  # every resident region expires between chunks
+        assert cache.stats().evictions > 0
+
+    def test_snapshot_round_trip_transparent(
+        self, relu_model, blobs3, tmp_path
+    ):
+        api = PredictionAPI(relu_model)
+        service = InterpretationService(api, seed=0, max_batch_size=4)
+        requests = self._request_stream(blobs3.X, seed=2)
+        self._replay_and_audit(relu_model, service, requests)
+        saved = {
+            entry.decision_features.tobytes()
+            for entry in service.cache._entries.values()
+        }
+        path = tmp_path / "warm.npz"
+        service.cache.save(path)
+
+        warm_cache = RegionCache()
+        warm_cache.load(path)
+        warm_api = PredictionAPI(relu_model)
+        warm_service = InterpretationService(
+            warm_api, cache=warm_cache, seed=0, max_batch_size=4
+        )
+        warm_responses = warm_service.interpret_many(requests)
+        warm_fresh = {
+            r.interpretation.decision_features.tobytes()
+            for r in warm_responses
+            if r.ok and not r.served_from_cache
+        }
+        n_hits = 0
+        for x0, response in zip(requests, warm_responses):
+            assert response.ok
+            interp = response.interpretation
+            gt = ground_truth_decision_features(
+                relu_model, x0, interp.target_class
+            )
+            np.testing.assert_allclose(interp.decision_features, gt,
+                                       atol=1e-7)
+            if response.served_from_cache:
+                assert interp.decision_features.tobytes() in saved | warm_fresh
+                n_hits += 1
+        # The snapshot actually served: hits from regions solved in the
+        # *previous* process's replay.
+        assert n_hits > 0
+        assert warm_service.stats().hit_rate > 0
 
 
 class TestEnvelopes:

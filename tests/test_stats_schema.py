@@ -2,8 +2,7 @@
 
 The serving benchmarks emit JSON artifacts built from ``as_dict()``
 renderings of :class:`ServiceStats`, :class:`CacheStats`,
-:class:`ShardedCacheStats`, :class:`TieredStoreStats` and the benchmark
-report/arm dataclasses.  These tests pin four invariants so names
+:class:`TieredStoreStats` and the benchmark report/arm dataclasses.  These tests pin four invariants so names
 cannot drift apart again:
 
 1. every ``as_dict()`` key set equals the dataclass field set (plus the
@@ -34,12 +33,8 @@ from repro.serving import (
     IndexScalingRow,
     RegionCache,
     RegionIndexReport,
-    ScanScalingRow,
     ServiceMetrics,
     ServiceStats,
-    ShardedCacheStats,
-    ShardedRegionCache,
-    ShardedServingReport,
     ThroughputArm,
     ThroughputReport,
     TieredStoreReport,
@@ -57,10 +52,6 @@ def field_names(cls) -> set[str]:
 
 def sample_cache_stats() -> CacheStats:
     return RegionCache().stats()
-
-
-def sample_sharded_stats() -> ShardedCacheStats:
-    return ShardedRegionCache(n_shards=2).stats()
 
 
 def sample_service_stats() -> ServiceStats:
@@ -87,18 +78,11 @@ def sample_arm() -> ThroughputArm:
 
 def sample_tiered_stats() -> TieredStoreStats:
     return TieredStoreStats(
-        l1=sample_sharded_stats().as_dict(), l1_hits=3, l2_hits=2,
+        l1=sample_cache_stats().as_dict(), l1_hits=3, l2_hits=2,
         l2_misses=1, demotions=4, promotions=2, l2_entries=4,
         l2_live_bytes=1024, l2_total_bytes=1536, l2_dead_ratio=1 / 3,
         l2_segments=1, l2_compactions=1, l2_index_hits=2,
         l2_index_fallbacks=1,
-    )
-
-
-def sample_scan_row() -> ScanScalingRow:
-    return ScanScalingRow(
-        n_entries=8, n_shards=2, d=4, n_pairs=2,
-        monolithic_scan_s=1e-4, per_shard_scan_s=5e-5, ratio=0.5,
     )
 
 
@@ -111,22 +95,6 @@ def sample_throughput_report() -> ThroughputReport:
     )
 
 
-def sample_sharded_report() -> ShardedServingReport:
-    arm = sample_arm()
-    return ShardedServingReport(
-        unbounded=arm, bounded=arm, multiworker=arm,
-        unbounded_cache=sample_cache_stats().as_dict(),
-        bounded_cache=sample_sharded_stats().as_dict(),
-        unbounded_service=sample_service_stats().as_dict(),
-        bounded_service=sample_service_stats().as_dict(),
-        n_shards=2, n_workers=2, eviction="lru", bounded_max_entries=4,
-        resident_fraction=0.25, hit_rate_ratio=0.95,
-        warm_start_hit_rate=0.5, snapshot_entries=3,
-        scan=sample_scan_row(), bitwise_consistent=True,
-        snapshot_bitwise_consistent=True,
-    )
-
-
 def sample_tiered_report() -> TieredStoreReport:
     arm = sample_arm()
     return TieredStoreReport(
@@ -134,7 +102,7 @@ def sample_tiered_report() -> TieredStoreReport:
         all_ram_service=sample_service_stats().as_dict(),
         tiered_service=sample_service_stats().as_dict(),
         store=sample_tiered_stats().as_dict(),
-        n_shards=2, l1_max_entries=4, l1_resident_fraction=0.1,
+        l1_max_entries=4, l1_resident_fraction=0.1,
         hit_retention=1.0, bitwise_consistent=True, churn_requests=120,
         churn_l2_max_bytes=1024, churn_compactions=2,
         churn_max_total_bytes=1800, churn_bytes_bound=2304,
@@ -266,13 +234,6 @@ class TestAsDictMatchesFields:
         payload = sample_cache_stats().as_dict()
         assert set(payload) == field_names(CacheStats) | {"hit_rate"}
 
-    def test_sharded_cache_stats(self):
-        payload = sample_sharded_stats().as_dict()
-        assert set(payload) == (
-            field_names(ShardedCacheStats)
-            | {"hit_rate", "per_shard_hit_rate"}
-        )
-
     def test_service_stats(self):
         payload = sample_service_stats().as_dict()
         assert set(payload) == field_names(ServiceStats)
@@ -327,9 +288,6 @@ class TestAsDictMatchesFields:
         )
         json.dumps(payload, allow_nan=False)
 
-    def test_scan_scaling_row(self):
-        assert set(sample_scan_row().as_dict()) == field_names(ScanScalingRow)
-
     def test_index_scaling_row(self):
         assert set(sample_index_row().as_dict()) == field_names(
             IndexScalingRow
@@ -350,28 +308,16 @@ class TestAsDictMatchesFields:
         assert set(payload) == field_names(TieredStoreReport)
         json.dumps(payload, allow_nan=False)
 
-    def test_sharded_serving_report(self):
-        payload = sample_sharded_report().as_dict()
-        assert set(payload) == field_names(ShardedServingReport)
-        json.dumps(payload, allow_nan=False)
-
 
 class TestJsonSafety:
     def test_stats_payloads_are_strict_json(self):
         for payload in (
             sample_cache_stats().as_dict(),
-            sample_sharded_stats().as_dict(),
             sample_service_stats().as_dict(),
             sample_arm().as_dict(),
         ):
             text = json.dumps(payload, allow_nan=False)
             json.loads(text)
-
-    def test_sharded_per_shard_lists_are_plain(self):
-        payload = sample_sharded_stats().as_dict()
-        assert isinstance(payload["per_shard_size"], list)
-        assert isinstance(payload["per_shard_hits"], list)
-        assert isinstance(payload["per_shard_hit_rate"], list)
 
     def test_no_numpy_scalars_leak(self):
         stats = ServiceMetrics()
@@ -400,14 +346,12 @@ class TestDocsGlossary:
         [
             sample_service_stats,
             sample_cache_stats,
-            sample_sharded_stats,
             sample_broker_stats,
             sample_tiered_stats,
             sample_gateway_stats,
         ],
         ids=[
-            "service", "cache", "sharded-cache", "broker", "tiered-store",
-            "gateway",
+            "service", "cache", "broker", "tiered-store", "gateway",
         ],
     )
     def test_keys_documented(self, glossary, payload_factory):
@@ -464,7 +408,6 @@ class TestBenchmarkCatalogSchemas:
         "artifact, payload_factory",
         [
             ("BENCH_serving.json", sample_throughput_report),
-            ("BENCH_sharded_serving.json", sample_sharded_report),
             ("BENCH_tiered_store.json", sample_tiered_report),
             ("BENCH_transport.json", sample_transport_report),
             ("BENCH_solve_engine.json", sample_engine_report),
@@ -473,7 +416,7 @@ class TestBenchmarkCatalogSchemas:
             ("BENCH_gateway.json", sample_gateway_report),
         ],
         ids=[
-            "serving", "sharded", "tiered-store", "transport", "engine",
+            "serving", "tiered-store", "transport", "engine",
             "region-index", "backend", "gateway",
         ],
     )

@@ -1,7 +1,10 @@
 """Tiered region store: durability, transparency, tier round trips.
 
-Covers the store module's three contracts:
+Covers the store module's contracts:
 
+* **region signatures** — the stable CRC key of a certified ``(D, B)``
+  stack, identical across calls and processes and robust to solver
+  rounding noise;
 * **durability** — a kill during an append leaves a loadable store (the
   torn tail frame is detected by its CRC and truncated away); a crash
   between the record fsync and the index rename is recovered by the
@@ -12,19 +15,24 @@ Covers the store module's three contracts:
   L2 on, and after demote → promote round trips through the mmap'd
   segments (the paper's Theorem 2 exactness contract, extended to
   disk);
-* **snapshot interop** — `.npz` region snapshots written by any tier
-  bootstrap the disk tier, bitwise, across shard counts.
+* **snapshot interop** — `.npz` region snapshots move bitwise between
+  a :class:`RegionCache` and the tiered store, in both directions;
+* **one lock** — concurrent lookups, inserts, snapshots and stats on
+  one store stay exact while every thread forces demotions and
+  promotions.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
 from repro.api import PredictionAPI
-from repro.core import CoreParameterEstimate, Interpretation
+from repro.core import CoreParameterEstimate, Interpretation, OpenAPIInterpreter
 from repro.exceptions import ValidationError
 from repro.models.openbox import ground_truth_decision_features
 from repro.serving import (
@@ -32,12 +40,15 @@ from repro.serving import (
     L2ReaderCache,
     RegionCache,
     SegmentStore,
-    ShardedInterpretationService,
-    ShardedRegionCache,
     TieredRegionStore,
     zipf_clustered_workload,
 )
-from repro.serving.store import _HEADER, _pack_payload
+from repro.serving.store import (
+    _HEADER,
+    _pack_payload,
+    region_signature,
+    signature_of,
+)
 
 
 def _affine_interp(x0, W, b, *, target_class=0):
@@ -219,10 +230,53 @@ class TestSegmentStoreDurability:
         store.close()
 
 
+class TestRegionSignature:
+    def test_stable_across_calls_and_processes(self):
+        rng = np.random.default_rng(0)
+        W, b = rng.normal(size=(2, 4)), rng.normal(size=2)
+        pairs = ((0, 1), (0, 2))
+        sig = region_signature(0, pairs, W, b)
+        assert sig == region_signature(0, pairs, W, b)
+        # CRC-based, not Python hash() — pin one literal value so a salted
+        # or platform-dependent hash cannot sneak in (snapshot portability).
+        fixed = region_signature(
+            1, ((1, 0),), np.array([[1.0, 2.0]]), np.array([3.0])
+        )
+        assert fixed == region_signature(
+            1, ((1, 0),), np.array([[1.0, 2.0]]), np.array([3.0])
+        )
+        assert 0 <= fixed < 2**32
+
+    def test_quantization_collapses_solver_noise(self):
+        rng = np.random.default_rng(1)
+        W, b = rng.normal(size=(2, 4)), rng.normal(size=2)
+        pairs = ((0, 1), (0, 2))
+        noisy = region_signature(0, pairs, W + 1e-10, b - 1e-10)
+        assert noisy == region_signature(0, pairs, W, b)
+
+    def test_distinct_regions_distinct_signatures(self):
+        rng = np.random.default_rng(2)
+        pairs = ((0, 1), (0, 2))
+        sigs = {
+            region_signature(
+                0, pairs, rng.normal(size=(2, 4)), rng.normal(size=2)
+            )
+            for _ in range(64)
+        }
+        assert len(sigs) == 64
+
+    def test_signature_of_matches_manual(self):
+        rng = np.random.default_rng(3)
+        W, b = rng.normal(size=(2, 5)), rng.normal(size=2)
+        interp = _affine_interp(rng.normal(size=5), W, b)
+        pairs = tuple(sorted(interp.pair_estimates))
+        assert signature_of(interp) == region_signature(0, pairs, W, b)
+
+
 class TestTieredRegionStore:
     def test_eviction_demotes_and_lookup_promotes_bitwise(self, tmp_path):
         rng = np.random.default_rng(6)
-        store = TieredRegionStore(tmp_path, n_shards=2, max_entries=2)
+        store = TieredRegionStore(tmp_path, max_entries=2)
         interps = []
         for _ in range(5):
             interp = _affine_interp(
@@ -268,7 +322,7 @@ class TestTieredRegionStore:
 
     def test_close_drains_l1_and_reopen_resumes_inventory(self, tmp_path):
         rng = np.random.default_rng(7)
-        store = TieredRegionStore(tmp_path, n_shards=2, max_entries=4)
+        store = TieredRegionStore(tmp_path, max_entries=4)
         interps = [
             _affine_interp(
                 rng.normal(size=4), rng.normal(size=(2, 4)),
@@ -282,7 +336,7 @@ class TestTieredRegionStore:
         assert store.stats().l2_entries < 4         # ... not yet on disk
         store.close()                               # drain persists them
 
-        reopened = TieredRegionStore(tmp_path, n_shards=3, max_entries=4)
+        reopened = TieredRegionStore(tmp_path, max_entries=4)
         assert len(reopened) == 4
         for interp in interps:
             claims = np.asarray(
@@ -302,11 +356,9 @@ class TestTieredRegionStore:
             )
         reopened.close()
 
-    def test_snapshot_bootstraps_l2_across_shard_counts(self, tmp_path):
+    def test_snapshot_bootstraps_l2_of_a_fresh_store(self, tmp_path):
         rng = np.random.default_rng(8)
-        store = TieredRegionStore(
-            tmp_path / "src", n_shards=2, max_entries=2
-        )
+        store = TieredRegionStore(tmp_path / "src", max_entries=2)
         interps = [
             _affine_interp(
                 rng.normal(size=4), rng.normal(size=(2, 4)),
@@ -320,32 +372,55 @@ class TestTieredRegionStore:
         assert store.save(snap) == 5                # both tiers, deduped
         store.close()
 
-        for n_shards in (1, 3, 5):
-            boot = TieredRegionStore(
-                tmp_path / f"boot{n_shards}", n_shards=n_shards,
-                max_entries=2,
+        boot = TieredRegionStore(tmp_path / "boot", max_entries=2)
+        assert boot.load(snap) == 5
+        assert boot.stats().l2_entries == 5         # cold RAM, warm disk
+        assert len(boot.l1) == 0
+        for interp in interps:
+            hit = boot.lookup(
+                interp.x0, _y0_for(interp), interp.target_class
             )
-            assert boot.load(snap) == 5
-            assert boot.stats().l2_entries == 5     # cold RAM, warm disk
-            assert len(boot.l1) == 0
-            for interp in interps:
-                claims = np.asarray(
-                    [
-                        interp.pair_estimates[p].weights @ interp.x0
-                        + interp.pair_estimates[p].intercept
-                        for p in sorted(interp.pair_estimates)
-                    ]
-                )
-                hit = boot.lookup(
-                    interp.x0, _probs_for_claims(claims),
-                    interp.target_class,
-                )
-                assert hit is not None
-                assert (
-                    hit.decision_features.tobytes()
-                    == interp.decision_features.tobytes()
-                )
-            boot.close()
+            assert hit is not None
+            assert (
+                hit.decision_features.tobytes()
+                == interp.decision_features.tobytes()
+            )
+        boot.close()
+
+    def test_store_snapshot_warm_starts_a_region_cache(self, tmp_path):
+        """The other direction of snapshot interop: a tiered snapshot
+        (both tiers' regions) loads into a plain RAM cache, bitwise."""
+        rng = np.random.default_rng(11)
+        store = TieredRegionStore(tmp_path / "src", max_entries=2)
+        interps = [
+            _affine_interp(
+                rng.normal(size=4), rng.normal(size=(2, 4)),
+                rng.normal(size=2),
+            )
+            for _ in range(5)
+        ]
+        for interp in interps:
+            store.insert(interp)
+        assert store.stats().l2_entries > 0         # some only on disk
+        snap = tmp_path / "regions.npz"
+        assert store.save(snap) == 5
+        store.close()
+
+        cache = RegionCache(max_entries=64)
+        assert cache.load(snap) == 5
+        for interp in interps:
+            hit = cache.lookup(
+                interp.x0, _y0_for(interp), interp.target_class
+            )
+            assert hit is not None
+            assert (
+                hit.decision_features.tobytes()
+                == interp.decision_features.tobytes()
+            )
+            for pair, est in interp.pair_estimates.items():
+                back = hit.pair_estimates[pair]
+                assert back.weights.tobytes() == est.weights.tobytes()
+                assert back.intercept == est.intercept
 
     def test_region_cache_snapshot_bootstraps_l2(self, tmp_path):
         """`.npz` snapshots written by the RAM tiers are L2 bootstrap
@@ -359,7 +434,7 @@ class TestTieredRegionStore:
         snap = tmp_path / "cache.npz"
         cache.save(snap)
 
-        store = TieredRegionStore(tmp_path / "boot", n_shards=2)
+        store = TieredRegionStore(tmp_path / "boot")
         assert store.load(snap) == 1
         claims = np.asarray(
             [
@@ -380,7 +455,7 @@ class TestTieredRegionStore:
 
     def test_load_requires_empty_store(self, tmp_path):
         rng = np.random.default_rng(10)
-        store = TieredRegionStore(tmp_path / "a", n_shards=2)
+        store = TieredRegionStore(tmp_path / "a")
         store.insert(
             _affine_interp(
                 rng.normal(size=4), rng.normal(size=(2, 4)),
@@ -400,44 +475,40 @@ class TestTieredRegionStore:
         self, relu_model, tmp_path
     ):
         api = PredictionAPI(relu_model)
-        store = TieredRegionStore(tmp_path, n_shards=2)
+        store = TieredRegionStore(tmp_path)
         with pytest.raises(ValidationError):
             InterpretationService(api, cache=RegionCache(), store=store)
         with pytest.raises(ValidationError):
             InterpretationService(api, store=store, enable_cache=False)
-        with pytest.raises(ValidationError):
-            ShardedInterpretationService(
-                api, cache=ShardedRegionCache(), store=store
-            )
         store.close()
 
 
 class TestTieredTransparency:
-    """Interpretations identical with L2 off, L2 on, and across the
-    multi-worker service — the PR's acceptance property."""
+    """Interpretations identical with L2 off and L2 on, and exact
+    through a started service — the tier's acceptance property."""
 
-    def _replay(self, relu_model, blobs3, tmp_path, *, n_workers):
+    def _replay(self, relu_model, blobs3, tmp_path, *, started):
         requests = zipf_clustered_workload(
             blobs3.X[:10], 60, exponent=1.5, seed=3
         )
-        # Arm 1: RAM-only sharded cache (L2 off), unbounded — the
-        # reference in which no region is ever forgotten.  (A *bounded*
-        # RAM arm would re-solve evicted regions; a fresh certified
-        # solve of the same region is exact but not bit-identical to
-        # the first one, so it is not the right bitwise reference.)
-        ram_service = ShardedInterpretationService(
-            PredictionAPI(relu_model), n_workers=1,
-            cache=ShardedRegionCache(n_shards=2, max_entries=1_000_000),
+        # Arm 1: RAM-only cache (L2 off), unbounded — the reference in
+        # which no region is ever forgotten.  (A *bounded* RAM arm would
+        # re-solve evicted regions; a fresh certified solve of the same
+        # region is exact but not bit-identical to the first one, so it
+        # is not the right bitwise reference.)
+        ram_service = InterpretationService(
+            PredictionAPI(relu_model),
+            cache=RegionCache(max_entries=1_000_000),
             max_batch_size=8, seed=0,
         )
         ram = ram_service.interpret_many(requests)
-        # Arm 2: tiered store (L2 on) at the same L1 bound.
-        store = TieredRegionStore(tmp_path, n_shards=2, max_entries=4)
-        tiered_service = ShardedInterpretationService(
-            PredictionAPI(relu_model), n_workers=n_workers, store=store,
-            max_batch_size=8, seed=0,
+        # Arm 2: tiered store (L2 on) at a 4-entry L1 bound.
+        store = TieredRegionStore(tmp_path, max_entries=4)
+        tiered_service = InterpretationService(
+            PredictionAPI(relu_model), store=store, max_batch_size=8,
+            seed=0,
         )
-        if n_workers > 1:
+        if started:
             with tiered_service:
                 tiered = tiered_service.interpret_many(requests)
         else:
@@ -446,7 +517,7 @@ class TestTieredTransparency:
 
     def test_l2_on_equals_l2_off_bitwise(self, relu_model, blobs3, tmp_path):
         requests, ram, tiered, store = self._replay(
-            relu_model, blobs3, tmp_path, n_workers=1
+            relu_model, blobs3, tmp_path, started=False
         )
         assert store.stats().demotions > 0          # the disk tier engaged
         assert store.stats().l2_hits > 0
@@ -458,12 +529,13 @@ class TestTieredTransparency:
             )
         store.close()
 
-    def test_multiworker_store_served_answers_match_ground_truth(
+    def test_started_service_store_served_answers_match_ground_truth(
         self, relu_model, blobs3, tmp_path
     ):
         requests, _, tiered, store = self._replay(
-            relu_model, blobs3, tmp_path, n_workers=2
+            relu_model, blobs3, tmp_path, started=True
         )
+        assert store.stats().l2_hits > 0
         for x0, response in zip(requests, tiered):
             assert response.ok
             interp = response.interpretation
@@ -471,6 +543,94 @@ class TestTieredTransparency:
                 relu_model, x0, interp.target_class
             )
             assert np.abs(interp.decision_features - gt).max() < 1e-6
+        store.close()
+
+
+class TestTieredStoreConcurrency:
+    """The store's one reentrant lock, exercised from several threads."""
+
+    N_THREADS = 4
+    ROUNDS = 25
+
+    def test_interleaved_threads_stay_exact(
+        self, relu_model, blobs3, tmp_path
+    ):
+        """Four threads interleave lookup/insert on a 2-entry L1, so every
+        one of them forces demotions and promotions; a fifth reads
+        ``stats()``, ``len()`` and ``save()`` meanwhile."""
+        api = PredictionAPI(relu_model)
+        X = blobs3.X[:8]
+        Y = api.predict_proba(X)
+        solves = [
+            OpenAPIInterpreter(seed=0).interpret(api, x) for x in X
+        ]
+        fresh = {s.decision_features.tobytes() for s in solves}
+        store = TieredRegionStore(tmp_path / "l2", max_entries=2, fsync=False)
+        errors: list[BaseException] = []
+        served: list[bytes] = []
+        lookups = [0]
+        record = threading.Lock()
+        barrier = threading.Barrier(self.N_THREADS + 1)
+        done = threading.Event()
+
+        def worker(slot: int) -> None:
+            rng = np.random.default_rng(slot)
+            try:
+                barrier.wait()
+                for _ in range(self.ROUNDS):
+                    for i in rng.permutation(len(X)):
+                        hit = store.lookup(
+                            X[i], Y[i], solves[i].target_class
+                        )
+                        if hit is None:
+                            store.insert(solves[i])
+                            continue
+                        with record:
+                            served.append(hit.decision_features.tobytes())
+                    with record:
+                        lookups[0] += len(X)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def observer() -> None:
+            try:
+                barrier.wait()
+                k = 0
+                while not done.is_set():
+                    store.stats()
+                    len(store)
+                    store.save(tmp_path / f"snap-{k % 2}.npz")
+                    k += 1
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(self.N_THREADS)
+        ]
+        watcher = threading.Thread(target=observer)
+        # Switch threads far more often than the 5 ms default, so the
+        # interleavings a missing lock would expose actually happen.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in [*threads, watcher]:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+            done.set()
+            watcher.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*threads, watcher])
+        assert errors == []
+
+        stats = store.stats()
+        assert stats.l1_hits + stats.l2_hits + stats.l2_misses == lookups[0]
+        assert len(served) == stats.l1_hits + stats.l2_hits
+        assert stats.demotions > 0 and stats.promotions > 0
+        assert all(b in fresh for b in served)
+        assert len(store) == len({signature_of(s) for s in solves})
         store.close()
 
 

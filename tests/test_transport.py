@@ -34,7 +34,7 @@ from repro.exceptions import (
     TransportExhaustedError,
     ValidationError,
 )
-from repro.serving import InterpretationService, ShardedInterpretationService
+from repro.serving import InterpretationService
 
 
 class FlakyScriptedTransport:
@@ -555,30 +555,29 @@ class TestServiceWithBroker:
         # Probe rows were delivered and are honestly metered.
         assert service.stats().n_queries == api.query_count == 3
 
-    def test_sharded_workers_share_one_broker(self, relu_model, blobs3):
+    def test_started_service_queries_through_one_handle(
+        self, relu_model, blobs3
+    ):
+        """A started service speaks through the one broker handle it made
+        at construction; the handle's meters and the broker's trip count
+        reconcile with the API's."""
         api = PredictionAPI(relu_model)
         broker = QueryBroker(DirectTransport(api), window_s=0.005)
-        service = ShardedInterpretationService(
-            api, n_workers=3, broker=broker, seed=0, max_batch_size=4
+        service = InterpretationService(
+            api, broker=broker, seed=0, max_batch_size=4
         )
+        assert len(broker.handles) == 1
+        (handle,) = broker.handles
+        assert isinstance(handle, BrokerHandle)
         rng = np.random.default_rng(0)
         requests = blobs3.X[rng.integers(0, 20, 40)]
         with service:
             responses = service.interpret_many(requests)
         assert all(r.ok for r in responses)
+        assert broker.handles == (handle,)
         assert service.stats().n_queries == api.query_count
-        assert sum(h.query_count for h in broker.handles) == api.query_count
-        stats = broker.stats()
-        assert stats.n_round_trips == api.request_count
-        assert stats.n_requests >= stats.n_round_trips
-
-    def test_handle_identity_stable_per_worker(self, relu_model):
-        api = PredictionAPI(relu_model)
-        service = InterpretationService(api, broker=make_broker(api))
-        first = service._client(0)
-        assert isinstance(first, BrokerHandle)
-        assert service._client(0) is first
-        assert service._client(1) is not first
+        assert handle.query_count == api.query_count
+        assert broker.stats().n_round_trips == api.request_count
 
 
 class TestMeterThreadSafety:

@@ -6,7 +6,7 @@ State is declared guarded at its assignment site::
 
 From then on, every read or mutation of ``self._query_count`` inside the
 same class must sit lexically inside ``with self._meter_lock:`` (any
-expression mentioning the lock attribute counts, so per-shard
+expression mentioning the lock attribute counts, so a subscripted
 ``with self._locks[si]:`` works), or inside a function annotated as
 called with the lock already held::
 

@@ -14,6 +14,11 @@ handful of batched LAPACK sweeps instead of a Python loop of solver
 calls, while query counts, certificates and exactness are identical to
 the sequential interpreter's.
 
+Each round draws into one ``(k, d+2, d)`` points buffer that the engine
+reads as it stands, and a certified answer copies out its own rows, so
+at most one round's stacks are alive and a held answer pins nothing of
+its batch (``docs/architecture.md``, stage 4).
+
 Round-trip accounting under micro-batching
 ------------------------------------------
 The serving layer (:mod:`repro.serving`) coalesces concurrent
@@ -36,7 +41,7 @@ two contracts of :meth:`~BatchOpenAPIInterpreter.interpret_batch`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -283,6 +288,12 @@ class BatchOpenAPIInterpreter:
                 )
             )
 
+        # One points buffer serves every round: block j holds the j-th
+        # active instance's x0 (row 0) and its d+1 samples (rows 1..d+1),
+        # which is the engine's (k, d+2, d) input as it stands.  Later
+        # rounds reuse its leading blocks as instances certify, so at most
+        # one round's stacks are alive at a time.
+        buffer = np.empty((n, d + 2, d))
         rounds = 0
         budget_exhausted = False
         transport_failed = False
@@ -290,21 +301,26 @@ class BatchOpenAPIInterpreter:
             active = [s for s in states if not s.done]
             if not active:
                 break
-            # One round trip carries every active instance's sample set
+            k = len(active)
+            points = buffer[:k]
+            for j, s in enumerate(active):
+                points[j, 0] = s.x0
+                if s.rng is not None:
+                    sample_hypercube(
+                        s.x0, s.edge, d + 1, s.rng,
+                        clip_box=self._sampler.clip_box, out=points[j, 1:],
+                    )
+                else:
+                    self._sampler.draw(s.x0, s.edge, d + 1, out=points[j, 1:])
+            samples = points[:, 1:]
+            # One round trip carries every active instance's sample rows
+            # as one contiguous copy, released when the call returns
             # (through a broker handle it additionally fuses with other
             # callers' concurrent rounds — same rows, fewer trips).
-            sample_blocks = [
-                sample_hypercube(
-                    s.x0, s.edge, d + 1, s.rng,
-                    clip_box=self._sampler.clip_box,
-                )
-                if s.rng is not None
-                else self._sampler.draw(s.x0, s.edge, d + 1)
-                for s in active
-            ]
-            stacked = np.vstack(sample_blocks)
             try:
-                probs_stacked = api.predict_proba(stacked)
+                probs_api = api.predict_proba(
+                    np.ascontiguousarray(samples).reshape(k * (d + 1), d)
+                )
             except APIBudgetExceededError:
                 if raise_on_budget:
                     raise
@@ -318,35 +334,31 @@ class BatchOpenAPIInterpreter:
             rounds += 1
 
             # One fused engine pass solves and certifies every active
-            # instance: stack the (x0 | samples) design blocks and the
-            # matching probability rows into 3-D tensors.
-            k = len(active)
+            # instance straight off the points buffer.
             x0s = np.stack([s.x0 for s in active])
             y0s = np.stack([s.y0 for s in active])
-            samples_stack = np.stack(sample_blocks)
-            points_stack = np.concatenate(
-                [x0s[:, None, :], samples_stack], axis=1
-            )
             probs_stack = np.concatenate(
-                [y0s[:, None, :], probs_stacked.reshape(k, d + 1, -1)], axis=1
+                [y0s[:, None, :], probs_api.reshape(k, d + 1, -1)], axis=1
             )
             classes_stack = np.fromiter(
                 (s.target_class for s in active), dtype=np.intp, count=k
             )
             solve_rounds = run_solve_rounds_batched(
-                points_stack, probs_stack, samples_stack, classes_stack,
+                points, probs_stack, samples, classes_stack,
                 centers=x0s,
                 rtol=self.rtol, atol=self.atol, floor=self.prob_floor,
             )
             for state, round_ in zip(active, solve_rounds):
                 state.iterations += 1
                 if round_.certified:
-                    state.result = build_interpretation(
-                        round_,
-                        method=self.method_name,
-                        iterations=state.iterations,
-                        final_edge=state.edge,
-                        n_queries=1 + state.iterations * (d + 1),
+                    state.result = _owned(
+                        build_interpretation(
+                            round_,
+                            method=self.method_name,
+                            iterations=state.iterations,
+                            final_edge=state.edge,
+                            n_queries=1 + state.iterations * (d + 1),
+                        )
                     )
                     state.done = True
                 else:
@@ -359,3 +371,25 @@ class BatchOpenAPIInterpreter:
             budget_exhausted=budget_exhausted,
             transport_failed=transport_failed,
         )
+
+
+def _owned(interpretation: Interpretation) -> Interpretation:
+    """``interpretation`` with private copies of the rows it shares with
+    its round: ``x0``, its own sample block and its per-pair weight rows
+    (one ``(C-1, d)`` block).
+
+    Without them an answer would keep the round's whole points buffer and
+    engine result stack alive, and the next round would overwrite its
+    ``x0`` and samples in the reused buffer.
+    """
+    pairs = list(interpretation.pair_estimates.items())
+    weights = np.stack([est.weights for _, est in pairs])
+    return replace(
+        interpretation,
+        x0=interpretation.x0.copy(),
+        samples=interpretation.samples.copy(),
+        pair_estimates={
+            pair: replace(est, weights=weights[i])
+            for i, (pair, est) in enumerate(pairs)
+        },
+    )

@@ -61,6 +61,7 @@ def sample_hypercube(
     rng: np.random.Generator,
     *,
     clip_box: tuple[float, float] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw ``n_samples`` i.i.d. uniform points from the hypercube.
 
@@ -76,23 +77,32 @@ def sample_hypercube(
         violates Lemma 1's continuous-distribution assumption; it exists
         for ablations on domain-constrained APIs that reject out-of-range
         inputs.
+    out:
+        Optional float64 ``(n_samples, d)`` array to draw into, such as
+        one block of a caller's stacked buffer.  The points written are
+        bitwise the ones returned without it.
 
     Returns
     -------
-    ``(n_samples, d)`` array of perturbed instances.
+    ``(n_samples, d)`` array of perturbed instances (``out`` when given).
     """
     center = check_vector(center, name="center")
     check_positive(edge, name="edge")
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     d = center.shape[0]
+    if out is not None and (out.shape != (n_samples, d) or out.dtype != np.float64):
+        raise ValidationError(
+            f"out must be a float64 ({n_samples}, {d}) array, got "
+            f"{out.dtype} {out.shape}"
+        )
     offsets = rng.uniform(-edge, edge, size=(n_samples, d))
-    points = center[None, :] + offsets
+    points = np.add(center[None, :], offsets, out=out)
     if clip_box is not None:
         lo, hi = clip_box
         if not hi > lo:
             raise ValidationError(f"clip_box must satisfy hi > lo, got {clip_box}")
-        points = np.clip(points, lo, hi)
+        points = np.clip(points, lo, hi, out=out)
     return points
 
 
@@ -113,10 +123,19 @@ class HypercubeSampler:
         """The underlying generator (shared, advancing state)."""
         return self._rng
 
-    def draw(self, center: np.ndarray, edge: float, n_samples: int) -> np.ndarray:
-        """Sample ``n_samples`` points around ``center``; see module docs."""
+    def draw(
+        self,
+        center: np.ndarray,
+        edge: float,
+        n_samples: int,
+        *,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Sample ``n_samples`` points around ``center`` (into ``out`` when
+        given); see :func:`sample_hypercube`."""
         return sample_hypercube(
-            center, edge, n_samples, self._rng, clip_box=self.clip_box
+            center, edge, n_samples, self._rng, clip_box=self.clip_box,
+            out=out,
         )
 
     def draw_axis_pairs(self, center: np.ndarray, h: float) -> np.ndarray:

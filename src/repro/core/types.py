@@ -82,7 +82,10 @@ class Interpretation:
         API queries consumed producing this interpretation.
     samples:
         The perturbed instances of the successful iteration (used by the
-        RD/WD sample-quality metrics), or ``None``.
+        RD/WD sample-quality metrics), or ``None``.  Always this
+        instance's own ``(d + 1, d)`` block: the lock-step batch
+        interpreter copies it out of the round's shared buffer, so
+        holding an interpretation never keeps a whole batch alive.
     """
 
     x0: np.ndarray

@@ -66,7 +66,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -159,11 +159,14 @@ class RegionCacheEntry:
 
     @property
     def resident_bytes(self) -> int:
-        """Approximate bytes this entry keeps resident.
+        """Bytes this entry keeps resident.
 
         Counts the entry's own arrays *and* their packed-scan copies
         (each entry's ``(D, B)`` and anchor are duplicated into the
         contiguous group stacks); Python object overhead is excluded.
+        The cache installs entries over arrays it owns (one ``(P, d)``
+        weight block the estimates view, a private anchor and features),
+        so the count is not undercut by a view into a larger array.
         """
         pair_bytes = sum(
             est.weights.nbytes + 8 for est in self.pair_estimates.values()
@@ -214,11 +217,11 @@ class _PackedGroup:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def add(self, entry: RegionCacheEntry) -> None:
+    def add(self, entry: RegionCacheEntry, weights: np.ndarray) -> None:
+        """Pack ``entry``; ``weights`` is its ``(P, d)`` block in this
+        group's pair order, shared with the entry's estimates."""
         self.keys.append(entry.key)
-        self._w.append(
-            np.stack([entry.pair_estimates[p].weights for p in self.pairs])
-        )
+        self._w.append(weights)
         self._b.append(
             np.asarray(
                 [entry.pair_estimates[p].intercept for p in self.pairs]
@@ -306,8 +309,11 @@ class CacheStats:
     size:
         Entries currently resident.
     resident_bytes:
-        Approximate bytes of resident region payload — entry arrays plus
-        their packed scan copies; Python object overhead excluded.
+        Bytes of the arrays the cache owns: every entry's anchor,
+        decision features and ``(P, d)`` weight block, plus their packed
+        scan copies.  Entries never view a caller's larger array, so
+        this is what the regions keep alive; Python object overhead and
+        the sign index's anchor copy are excluded.
     """
 
     hits: int
@@ -768,7 +774,7 @@ class RegionCache:
             key=next(self._keys),
             x0=x0,
             target_class=interpretation.target_class,
-            pair_estimates=dict(interpretation.pair_estimates),
+            pair_estimates=interpretation.pair_estimates,
             decision_features=interpretation.decision_features,
             final_edge=interpretation.final_edge,
         )
@@ -787,6 +793,18 @@ class RegionCache:
                 f"entry x0 has dimensionality {entry.x0.shape[0]} but "
                 f"cached entries have dimensionality {self._dim}"
             )
+        # The entry owns every array resident_bytes counts: its own
+        # anchor and features, and one (P, d) weight block its estimates
+        # view and the packed group shares.  A view into a caller's larger
+        # array (a batch round's stacks, a snapshot's group arrays) would
+        # keep that whole array alive behind an entry counted as small.
+        weights = np.stack([entry.pair_estimates[p].weights for p in pairs])
+        entry.pair_estimates = {
+            p: replace(entry.pair_estimates[p], weights=weights[i])
+            for i, p in enumerate(pairs)
+        }
+        entry.x0 = entry.x0.copy()
+        entry.decision_features = entry.decision_features.copy()
         group_key = (entry.target_class, pairs)
         self._entries[entry.key] = entry
         group = self._groups.get(group_key)
@@ -795,7 +813,7 @@ class RegionCache:
                 pairs, index=self._new_index(entry.x0), backend=self.backend
             )
             self._groups[group_key] = group
-        group.add(entry)
+        group.add(entry, weights)
         self._group_of[entry.key] = group_key
         self._dim = entry.x0.shape[0]
         max_class = max((max(c, cp) for c, cp in pairs), default=-1)

@@ -61,6 +61,27 @@ class TestSampleHypercube:
         b = HypercubeSampler(seed=3).draw(np.zeros(2), 1.0, 5)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("clip_box", [None, (0.0, 0.6)])
+    def test_draw_into_out_is_bitwise_the_returned_draw(self, clip_box):
+        center = np.array([0.1, 0.5, 0.9])
+        fresh = HypercubeSampler(seed=4, clip_box=clip_box).draw(center, 0.3, 5)
+        buffer = np.full((2, 5, 3), np.nan)
+        got = HypercubeSampler(seed=4, clip_box=clip_box).draw(
+            center, 0.3, 5, out=buffer[1]
+        )
+        assert np.shares_memory(got, buffer[1])
+        np.testing.assert_array_equal(buffer[1], fresh)
+        assert np.isnan(buffer[0]).all()
+
+    def test_draw_into_misshaped_out_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="out must be"):
+            sample_hypercube(np.zeros(3), 1.0, 4, rng, out=np.empty((4, 2)))
+        with pytest.raises(ValidationError, match="out must be"):
+            sample_hypercube(
+                np.zeros(3), 1.0, 4, rng, out=np.empty((4, 3), np.float32)
+            )
+
     def test_axis_pairs_layout(self):
         sampler = HypercubeSampler(seed=0)
         center = np.array([1.0, 2.0])
